@@ -28,6 +28,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -194,12 +195,27 @@ func run() int {
 		}
 	}
 
+	// The report goes through one buffer, flushed after every table,
+	// figure and sweep block (see dispatch) and once more here, whichever
+	// way dispatch ended: normally, through Guard's recovery, or cut short
+	// by SIGINT. A write error sticks to the buffer, so this last flush
+	// reports any the block flushes met. The deferred flush covers a panic
+	// Guard re-raises.
+	out := bufio.NewWriter(os.Stdout)
+	defer out.Flush()
+
 	// Guard converts a fail-fast *pipe.RunError panic (a table or reference
 	// run hitting a terminal simulator failure) into a diagnostic snapshot
 	// on stderr and a nonzero exit, instead of a raw panic trace killing the
 	// process mid-report; supervised figure grids isolate failures per point
 	// and report them via runFigure below.
-	code := sim.Guard(os.Stderr, "hpca03", func() int { return dispatch(ctx, *exp, *id, opts) })
+	code := sim.Guard(os.Stderr, "hpca03", func() int { return dispatch(ctx, out, *exp, *id, opts) })
+	if err := out.Flush(); err != nil {
+		fmt.Fprintf(os.Stderr, "hpca03: writing the report: %v\n", err)
+		if code == 0 {
+			code = 1
+		}
+	}
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "hpca03: interrupted; completed points reported above")
 		if code == 0 {
@@ -209,73 +225,67 @@ func run() int {
 	return code
 }
 
-// dispatch runs the selected experiment(s), returning the process exit code:
-// 0 on full success, 1 when any supervised grid point failed, 2 on usage
-// errors.
-func dispatch(ctx context.Context, exp, id string, opts sim.Options) int {
+// dispatch runs the selected experiment(s), writing the report to out, and
+// returns the process exit code: 0 on full success, 1 when any supervised
+// grid point failed, 2 on usage errors. Every table, figure and sweep
+// helper flushes out once its block is written, so an interrupted run shows
+// every finished block.
+func dispatch(ctx context.Context, out *bufio.Writer, exp, id string, opts sim.Options) int {
 	failed := 0
 	switch exp {
 	case "table1":
-		failed += runTable1(ctx, opts)
+		failed += runTable1(ctx, out, opts)
 	case "table2":
-		failed += runTable2(ctx, opts)
+		failed += runTable2(ctx, out, opts)
 	case "table3":
-		sim.WriteTable3(os.Stdout, sim.Default())
+		writeTable3(out)
 	case "fig1":
-		failed += runFigure(ctx, "Figure 1: oracle fetch/decode/select", sim.OracleExperiments(), opts)
+		failed += runFigure(ctx, out, "Figure 1: oracle fetch/decode/select", sim.OracleExperiments(), opts)
 	case "fig3":
-		failed += runFigure(ctx, "Figure 3: fetch throttling", sim.FetchExperiments(), opts)
+		failed += runFigure(ctx, out, "Figure 3: fetch throttling", sim.FetchExperiments(), opts)
 	case "fig4":
-		failed += runFigure(ctx, "Figure 4: decode throttling", sim.DecodeExperiments(), opts)
+		failed += runFigure(ctx, out, "Figure 4: decode throttling", sim.DecodeExperiments(), opts)
 	case "fig5":
-		failed += runFigure(ctx, "Figure 5: selection throttling", sim.SelectionExperiments(), opts)
+		failed += runFigure(ctx, out, "Figure 5: selection throttling", sim.SelectionExperiments(), opts)
 	case "fig6":
-		points := sim.DepthSweepE(ctx, opts, nil)
-		failed += reportSweepFailures(points)
-		sim.WriteSweep(os.Stdout, "Figure 6: pipeline depth (experiment C2)", "stages", points)
+		failed += writeSweep(out, "Figure 6: pipeline depth (experiment C2)", "stages", sim.DepthSweepE(ctx, opts, nil))
 	case "fig7":
-		points := sim.SizeSweepE(ctx, opts, nil)
-		failed += reportSweepFailures(points)
-		sim.WriteSweep(os.Stdout, "Figure 7: predictor+estimator size (experiment C2)", "KB", points)
+		failed += writeSweep(out, "Figure 7: predictor+estimator size (experiment C2)", "KB", sim.SizeSweepE(ctx, opts, nil))
 	case "conf":
-		failed += runConfidence(ctx, opts)
+		failed += runConfidence(ctx, out, opts)
 	case "ablation":
-		failed += runFigure(ctx, "Ablation: estimator x mechanism cross", sim.EstimatorCrossExperiments(), opts)
-		fmt.Println()
-		failed += runFigure(ctx, "Ablation: Pipeline Gating threshold sweep", sim.GateThresholdExperiments(), opts)
-		fmt.Println()
-		failed += runFigure(ctx, "Ablation: C2 per-class contributions", sim.EscalationAblationExperiments(), opts)
+		failed += runFigure(ctx, out, "Ablation: estimator x mechanism cross", sim.EstimatorCrossExperiments(), opts)
+		fmt.Fprintln(out)
+		failed += runFigure(ctx, out, "Ablation: Pipeline Gating threshold sweep", sim.GateThresholdExperiments(), opts)
+		fmt.Fprintln(out)
+		failed += runFigure(ctx, out, "Ablation: C2 per-class contributions", sim.EscalationAblationExperiments(), opts)
 	case "run":
 		e, ok := sim.ExperimentByID(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "hpca03: unknown experiment id %q\n", id)
 			return 2
 		}
-		failed += runFigure(ctx, "Experiment "+e.ID+": "+e.Label, []sim.Experiment{e}, opts)
+		failed += runFigure(ctx, out, "Experiment "+e.ID+": "+e.Label, []sim.Experiment{e}, opts)
 	case "all":
-		sim.WriteTable3(os.Stdout, sim.Default())
-		fmt.Println()
-		failed += runTable2(ctx, opts)
-		fmt.Println()
-		failed += runTable1(ctx, opts)
-		fmt.Println()
-		failed += runConfidence(ctx, opts)
-		fmt.Println()
-		failed += runFigure(ctx, "Figure 1: oracle fetch/decode/select", sim.OracleExperiments(), opts)
-		fmt.Println()
-		failed += runFigure(ctx, "Figure 3: fetch throttling", sim.FetchExperiments(), opts)
-		fmt.Println()
-		failed += runFigure(ctx, "Figure 4: decode throttling", sim.DecodeExperiments(), opts)
-		fmt.Println()
-		failed += runFigure(ctx, "Figure 5: selection throttling", sim.SelectionExperiments(), opts)
-		fmt.Println()
-		points := sim.DepthSweepE(ctx, opts, nil)
-		failed += reportSweepFailures(points)
-		sim.WriteSweep(os.Stdout, "Figure 6: pipeline depth (experiment C2)", "stages", points)
-		fmt.Println()
-		points = sim.SizeSweepE(ctx, opts, nil)
-		failed += reportSweepFailures(points)
-		sim.WriteSweep(os.Stdout, "Figure 7: predictor+estimator size (experiment C2)", "KB", points)
+		writeTable3(out)
+		fmt.Fprintln(out)
+		failed += runTable2(ctx, out, opts)
+		fmt.Fprintln(out)
+		failed += runTable1(ctx, out, opts)
+		fmt.Fprintln(out)
+		failed += runConfidence(ctx, out, opts)
+		fmt.Fprintln(out)
+		failed += runFigure(ctx, out, "Figure 1: oracle fetch/decode/select", sim.OracleExperiments(), opts)
+		fmt.Fprintln(out)
+		failed += runFigure(ctx, out, "Figure 3: fetch throttling", sim.FetchExperiments(), opts)
+		fmt.Fprintln(out)
+		failed += runFigure(ctx, out, "Figure 4: decode throttling", sim.DecodeExperiments(), opts)
+		fmt.Fprintln(out)
+		failed += runFigure(ctx, out, "Figure 5: selection throttling", sim.SelectionExperiments(), opts)
+		fmt.Fprintln(out)
+		failed += writeSweep(out, "Figure 6: pipeline depth (experiment C2)", "stages", sim.DepthSweepE(ctx, opts, nil))
+		fmt.Fprintln(out)
+		failed += writeSweep(out, "Figure 7: predictor+estimator size (experiment C2)", "KB", sim.SizeSweepE(ctx, opts, nil))
 	default:
 		fmt.Fprintf(os.Stderr, "hpca03: unknown experiment %q\n", exp)
 		return 2
@@ -287,55 +297,65 @@ func dispatch(ctx context.Context, exp, id string, opts sim.Options) int {
 	return 0
 }
 
+// writeTable3 writes the static configuration table.
+func writeTable3(out *bufio.Writer) {
+	sim.WriteTable3(out, sim.Default())
+	out.Flush()
+}
+
 // runTable1 reproduces Table 1 under ctx; the table is all-or-nothing, so a
 // failed point (or cancellation) prints its diagnostic and counts as one
 // failure without printing a partial table.
-func runTable1(ctx context.Context, opts sim.Options) int {
+func runTable1(ctx context.Context, out *bufio.Writer, opts sim.Options) int {
 	t1, err := sim.RunTable1E(ctx, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "FAILED table1: %v\n", err)
 		return 1
 	}
-	sim.WriteTable1(os.Stdout, t1)
+	sim.WriteTable1(out, t1)
+	out.Flush()
 	return 0
 }
 
 // runTable2 reproduces Table 2 under ctx, all-or-nothing like runTable1.
-func runTable2(ctx context.Context, opts sim.Options) int {
+func runTable2(ctx context.Context, out *bufio.Writer, opts sim.Options) int {
 	rows, err := sim.RunTable2E(ctx, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "FAILED table2: %v\n", err)
 		return 1
 	}
-	sim.WriteTable2(os.Stdout, rows)
+	sim.WriteTable2(out, rows)
+	out.Flush()
 	return 0
 }
 
 // runConfidence measures the estimator operating points under ctx,
 // all-or-nothing like the tables.
-func runConfidence(ctx context.Context, opts sim.Options) int {
+func runConfidence(ctx context.Context, out *bufio.Writer, opts sim.Options) int {
 	crs, err := sim.RunConfidenceE(ctx, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "FAILED confidence: %v\n", err)
 		return 1
 	}
-	sim.WriteConfidence(os.Stdout, crs)
+	sim.WriteConfidence(out, crs)
+	out.Flush()
 	return 0
 }
 
 // runFigure runs one supervised figure grid under ctx, prints the healthy
-// results to stdout and any per-point failure diagnostics to stderr, and
+// results to out and any per-point failure diagnostics to stderr, and
 // returns the number of failed points.
-func runFigure(ctx context.Context, name string, exps []sim.Experiment, opts sim.Options) int {
+func runFigure(ctx context.Context, out *bufio.Writer, name string, exps []sim.Experiment, opts sim.Options) int {
 	fr := sim.RunFigureE(ctx, name, exps, opts)
-	sim.WriteFigure(os.Stdout, fr)
+	sim.WriteFigure(out, fr)
+	out.Flush()
 	fr.WriteFailures(os.Stderr)
 	return len(fr.Failures)
 }
 
-// reportSweepFailures prints any per-point failures a sweep isolated and
-// returns their count.
-func reportSweepFailures(points []sim.SweepPoint) int {
+// writeSweep prints any per-point failures a sweep isolated to stderr, then
+// the sweep to out, and returns the number of failed points.
+func writeSweep(out *bufio.Writer, title, unit string, points []sim.SweepPoint) int {
 	failed := 0
 	for _, pt := range points {
 		for _, f := range pt.Failures {
@@ -343,5 +363,7 @@ func reportSweepFailures(points []sim.SweepPoint) int {
 			failed++
 		}
 	}
+	sim.WriteSweep(out, title, unit, points)
+	out.Flush()
 	return failed
 }

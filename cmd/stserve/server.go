@@ -194,6 +194,9 @@ func (s *server) optionsFrom(q url.Values) (sim.Options, error) {
 		}
 		opts.Warmup = wu
 	}
+	if opts.Warmup > s.maxN {
+		return opts, fmt.Errorf("warmup %d exceeds the per-request ceiling %d", opts.Warmup, s.maxN)
+	}
 	if v := q.Get("depth"); v != "" {
 		d, err := strconv.Atoi(v)
 		if err != nil || d < 6 || d > 64 {

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"selthrottle/internal/fleet"
 	"selthrottle/internal/prog"
 	"selthrottle/internal/sim"
 )
@@ -69,6 +71,60 @@ func TestPointHappyPathAndParams(t *testing.T) {
 	} {
 		if rec := get(t, h, bad); rec.Code != 400 {
 			t.Fatalf("%s: %d, want 400", bad, rec.Code)
+		}
+	}
+}
+
+// TestWarmupCeiling: an explicit warmup is held to the per-request ceiling
+// (-max-n) like n, on every endpoint that simulates. Over the ceiling is a
+// 400 before admission; at the ceiling the request runs with that warmup.
+func TestWarmupCeiling(t *testing.T) {
+	s := testServer(2, 0) // ceiling 1,000,000
+	s.compute = &fleet.ComputeServer{Owner: "w-test", MaxN: s.maxN, Admit: s.acquire}
+	var seen []uint64 // warmups that reached the simulation seams
+	s.runPoint = func(_ context.Context, cfg sim.Config, p prog.Profile) (sim.Result, sim.PointStatus) {
+		seen = append(seen, cfg.Warmup)
+		return sim.Result{Benchmark: p.Name, IPC: 1, Seconds: 1}, sim.PointStatus{Attempts: 1}
+	}
+	s.runFigure = func(_ context.Context, name string, _ []sim.Experiment, opts sim.Options) *sim.FigureResult {
+		seen = append(seen, opts.Warmup)
+		return &sim.FigureResult{Name: name, Rows: []sim.ExperimentRow{{}}}
+	}
+	h := s.routes()
+
+	for _, tc := range []struct {
+		path   string
+		warmup uint64
+		want   int
+	}{
+		{"/v1/point?bench=gzip", 1_000_000, 200},
+		{"/v1/point?bench=gzip", 1_000_001, 400},
+		{"/v1/point?bench=gzip&n=6000", 100_000_000_000_000, 400},
+		{"/v1/figure?fig=fig3", 1_000_000, 200},
+		{"/v1/figure?fig=fig3", 1_000_001, 400},
+		{"/v1/sweep?kind=size", 1_000_000, 200},
+		{"/v1/sweep?kind=depth", 1_000_001, 400},
+		{"/v1/compute?exp=run&id=C2&n=6000&depth=14&kb=16&index=0", 1_000_001, 400},
+	} {
+		seen = nil
+		url := fmt.Sprintf("%s&warmup=%d", tc.path, tc.warmup)
+		rec := get(t, h, url)
+		if rec.Code != tc.want {
+			t.Fatalf("%s: %d, want %d (%s)", url, rec.Code, tc.want, rec.Body.String())
+		}
+		if tc.want != 200 {
+			if len(seen) != 0 {
+				t.Fatalf("%s: rejected request still simulated (warmups %v)", url, seen)
+			}
+			continue
+		}
+		if len(seen) == 0 {
+			t.Fatalf("%s: accepted request never simulated", url)
+		}
+		for _, wu := range seen {
+			if wu != tc.warmup {
+				t.Fatalf("%s: simulated with warmup %d, want %d", url, wu, tc.warmup)
+			}
 		}
 	}
 }

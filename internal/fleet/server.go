@@ -161,7 +161,8 @@ type ComputeServer struct {
 	Leases *grid.Manager
 	// Owner labels this worker's lease claims and responses.
 	Owner string
-	// MaxN bounds the per-request instruction budget (0 = unbounded).
+	// MaxN bounds the per-request instruction budget, n and warmup each
+	// (0 = unbounded).
 	MaxN uint64
 	// Ready gates admission: when it reports false (stserve draining), new
 	// compute requests are refused 503 so coordinators route elsewhere.
@@ -252,6 +253,10 @@ func (s *ComputeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.MaxN > 0 && spec.N > s.MaxN {
 		http.Error(w, fmt.Sprintf("n %d exceeds the per-request ceiling %d", spec.N, s.MaxN), http.StatusBadRequest)
+		return
+	}
+	if s.MaxN > 0 && spec.Warmup > s.MaxN {
+		http.Error(w, fmt.Sprintf("warmup %d exceeds the per-request ceiling %d", spec.Warmup, s.MaxN), http.StatusBadRequest)
 		return
 	}
 	points, gridID, err := s.grid(spec)

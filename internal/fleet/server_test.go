@@ -149,6 +149,33 @@ func TestComputeServerRejections(t *testing.T) {
 	}
 }
 
+// TestComputeServerWarmupCeiling: MaxN caps an explicit warmup as well as
+// n. Over the ceiling is a 400 before any lease or simulation; at the
+// ceiling the point computes.
+func TestComputeServerWarmupCeiling(t *testing.T) {
+	attachTestStore(t)
+	const ceiling = 8000
+	cs := &ComputeServer{Owner: "w-test", MaxN: ceiling}
+	for _, tc := range []struct {
+		name   string
+		warmup uint64
+		want   int
+	}{
+		{"at the ceiling", ceiling, 200},
+		{"one over the ceiling", ceiling + 1, 400},
+		{"far over the ceiling", 100_000_000_000_000, 400},
+	} {
+		spec := GridSpec{Exp: "run", ID: "C2", N: 6030, Warmup: tc.warmup, Depth: 14, KB: 16, Bench: "gzip"}
+		rec := serveCompute(t, cs, computeURL(spec, "", 0, false))
+		if rec.Code != tc.want {
+			t.Fatalf("%s: %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
+		}
+	}
+	if s := cs.Stats(); s.Served != 1 {
+		t.Fatalf("served %d points, want 1 (rejections must not compute)", s.Served)
+	}
+}
+
 // TestComputeServerLeaseConflictAndSteal: a held point lease yields 409 +
 // Retry-After; steal=1 fences the holder off (its next Beat fails ErrLost)
 // and serves the point.

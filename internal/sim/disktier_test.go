@@ -377,7 +377,7 @@ func TestSetLimitBytesConverts(t *testing.T) {
 
 // TestJitterDeterministicAndBounded: the backoff jitter is a pure function
 // of (seed, point), always within [d/2, d], and distinct points
-// desynchronize.
+// desynchronize. An armed fault hook is not part of the point.
 func TestJitterDeterministicAndBounded(t *testing.T) {
 	profiles := cacheTestProfiles()
 	cfg := Default()
@@ -404,6 +404,20 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	}
 	if jitterRand(0, cfg, profiles[0]).Uint64() == jitterRand(7, cfg, profiles[0]).Uint64() {
 		t.Fatal("seed does not perturb the stream")
+	}
+	// The supervisor seeds the stream after arming the point's fault hook.
+	// Two separately allocated, identical plans are the same point, and so
+	// is the unfaulted config: no heap address may reach the stream.
+	plan := func() pipe.FaultHook {
+		return faultinject.NewPlan(faultinject.Fault{
+			Kind: faultinject.KindPanic, Stage: pipe.StageIssue, Cycle: 100, Once: true,
+		})
+	}
+	f1, f2 := cfg, cfg
+	f1.Pipe.Fault, f2.Pipe.Fault = plan(), plan()
+	want := jitterRand(0, cfg, profiles[0]).Uint64()
+	if d1, d2 := jitterRand(0, f1, profiles[0]).Uint64(), jitterRand(0, f2, profiles[0]).Uint64(); d1 != d2 || d1 != want {
+		t.Fatalf("first draws %x and %x under identical plans, %x unfaulted", d1, d2, want)
 	}
 	// Degenerate durations pass through untouched.
 	if jittered(1, a1) != 1 || jittered(0, a1) != 0 {

@@ -273,9 +273,14 @@ func (c *ResultCache) RunE(ctx context.Context, r *Runner, cfg Config, profile p
 
 		// Disk tier: a persisted point serves the memory miss without
 		// simulation. Read errors degrade to compute; an entry the store
-		// quarantines mid-flight is a plain miss.
+		// quarantines mid-flight is a plain miss. The point's address is
+		// derived at most once per miss: the lookup and the write-through
+		// below share it.
+		var addr store.Key
+		haveAddr := false
 		if d := c.disk.Load(); d != nil {
-			if ent, ok, derr := d.Get(diskKeyOf(key)); derr != nil {
+			addr, haveAddr = diskKeyOf(key), true
+			if ent, ok, derr := d.Get(addr); derr != nil {
 				c.diskErrs.Add(1)
 			} else if ok {
 				e.res = entryResult(&ent)
@@ -309,8 +314,11 @@ func (c *ResultCache) RunE(ctx context.Context, r *Runner, cfg Config, profile p
 		// memory), never an error to the caller. Failed runs never reach
 		// this point, so the store only ever holds valid results.
 		if d := c.disk.Load(); d != nil {
+			if !haveAddr {
+				addr = diskKeyOf(key) // the store was attached mid-compute
+			}
 			ent := resultEntry(&res)
-			if derr := d.Put(diskKeyOf(key), &ent); derr != nil {
+			if derr := d.Put(addr, &ent); derr != nil {
 				c.diskErrs.Add(1)
 			} else {
 				c.diskPuts.Add(1)

@@ -15,9 +15,9 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"time"
 
@@ -111,16 +111,18 @@ func retryableError(err error) bool {
 const defaultJitterSeed = 0x5e1ec7_7412077_1e // "select throttle"
 
 // jitterRand derives the per-point jitter stream: a pure function of the
-// supervisor seed and the point's identity (configuration and profile), so
-// two points of one grid desynchronize while every re-run of one point
-// reproduces exactly.
+// supervisor seed and the point's content address, so two points of one
+// grid desynchronize while every re-run of one point reproduces exactly.
+// The fault hook a stress run arms is cleared first: it is how the point is
+// run, not which point it is, and it is a pointer whose address would
+// otherwise leak into the stream.
 func jitterRand(seed uint64, cfg Config, profile prog.Profile) *xrand.Rand {
 	if seed == 0 {
 		seed = defaultJitterSeed
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v\x00%s\x00%d", cfg, profile.Name, profile.Seed)
-	return xrand.New(xrand.Hash2(seed, h.Sum64()))
+	cfg.Pipe.Fault = nil
+	k := PointKey(cfg, profile)
+	return xrand.New(xrand.Hash2(seed, binary.LittleEndian.Uint64(k[:8])))
 }
 
 // jittered spreads one backoff wait uniformly over [d/2, d].
