@@ -364,11 +364,13 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 
 // pick selects the least-loaded worker whose breaker admits traffic,
 // skipping exclude (hedges must land elsewhere) and workers at their
-// in-flight cap. A worker whose breaker grants a half-open probe is
-// returned with probe=true; the caller must resolve the probe before real
-// traffic flows there. busy distinguishes "every healthy worker is at its
-// cap" (transient — in-flight requests are deadline-bounded, so waiting
-// resolves it) from "no healthy workers at all" (fall back locally).
+// in-flight cap, and reserves one of its in-flight slots: the caller's
+// request call releases it when it returns. A worker whose breaker grants
+// a half-open probe is returned with probe=true and no slot reserved; the
+// caller must resolve the probe before real traffic flows there. busy
+// distinguishes "every healthy worker is at its cap" (transient — in-flight
+// requests are deadline-bounded, so waiting resolves it) from "no healthy
+// workers at all" (fall back locally).
 func (c *coordinator) pick(exclude *worker, cap int) (wk *worker, probe, busy bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -393,6 +395,11 @@ func (c *coordinator) pick(exclude *worker, cap int) (wk *worker, probe, busy bo
 		if best == nil || w.inflight.Load() < best.inflight.Load() {
 			best = w
 		}
+	}
+	if best != nil {
+		// Reserved under c.mu, so no other pick can see the slot free
+		// before the request is issued.
+		best.inflight.Add(1)
 	}
 	return best, false, busy && best == nil
 }
@@ -421,9 +428,9 @@ func (c *coordinator) dispatchPoint(ctx context.Context, idx, perWorker int) {
 		wk, probe, busy := c.pick(nil, perWorker)
 		if wk == nil {
 			if busy {
-				// Healthy workers exist but are saturated (hedges over-
-				// subscribe slots transiently); their in-flight requests
-				// are deadline-bounded, so wait instead of giving up.
+				// Healthy workers exist but every slot is taken (hedges
+				// hold slots too); their in-flight requests are
+				// deadline-bounded, so wait instead of giving up.
 				if c.waitBackoff(ctx, &backoff, rng) {
 					attempt--
 					continue
@@ -508,8 +515,9 @@ func (c *coordinator) attemptWithHedge(ctx context.Context, wk *worker, idx int,
 		hedge bool
 	}
 	results := make(chan outcome, 2)
+	// launch runs one request on w, whose slot pick reserved, and releases
+	// the slot when the call returns.
 	launch := func(runCtx context.Context, w *worker, stealFlag, isHedge bool) {
-		w.inflight.Add(1)
 		res, _, err := computeCall(runCtx, c.hc, w.base, w.name, c.opts.Spec, c.gridID, idx, stealFlag, c.pointTimeout)
 		w.inflight.Add(-1)
 		if runCtx.Err() == nil || err == nil {

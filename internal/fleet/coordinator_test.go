@@ -288,3 +288,45 @@ func TestFleetRunInterrupted(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestPickReservesSlot: pick reserves the in-flight slot it hands out, so
+// with one worker capped at one request, a second pick before the first
+// request returns finds the worker busy instead of over-subscribing it.
+// The request call frees the slot when it returns, and a half-open probe
+// grant reserves nothing.
+func TestPickReservesSlot(t *testing.T) {
+	base, err := normalizeBase("127.0.0.1:1") // reserved port: refused at once
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &worker{name: "w", base: base, breaker: NewBreaker(100, time.Second, nil)}
+	c := &coordinator{workers: []*worker{w}, hc: &http.Client{}, pointTimeout: time.Second}
+
+	if got, probe, busy := c.pick(nil, 1); got != w || probe || busy {
+		t.Fatalf("first pick: worker=%v probe=%v busy=%v, want the worker", got != nil, probe, busy)
+	}
+	if got, _, busy := c.pick(nil, 1); got != nil || !busy {
+		t.Fatalf("second pick before the call returned: worker=%v busy=%v, want none and busy", got != nil, busy)
+	}
+	if _, _, err := c.attemptWithHedge(context.Background(), w, 0, false, 1); err == nil {
+		t.Fatal("request to a refused port succeeded")
+	}
+	if n := w.inflight.Load(); n != 0 {
+		t.Fatalf("%d slot(s) held after the call returned, want 0", n)
+	}
+	if got, _, _ := c.pick(nil, 1); got != w {
+		t.Fatal("slot not free after the call returned")
+	}
+
+	var now time.Duration
+	pw := &worker{name: "p", breaker: NewBreaker(1, time.Second, func() time.Duration { return now })}
+	pw.breaker.Record(false, false) // opens the breaker
+	now += time.Second
+	pc := &coordinator{workers: []*worker{pw}}
+	if got, probe, _ := pc.pick(nil, 1); got != pw || !probe {
+		t.Fatalf("pick after the open interval: worker=%v probe=%v, want a probe grant", got != nil, probe)
+	}
+	if n := pw.inflight.Load(); n != 0 {
+		t.Fatalf("probe grant reserved %d slot(s), want 0", n)
+	}
+}

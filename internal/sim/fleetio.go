@@ -40,7 +40,10 @@ func DecodeResultEntry(data []byte) (Result, error) {
 // leader may already be computing it and its waiters must be released by
 // that leader, never short-circuited. Injection trusts the caller that res
 // really is the point's pure result; in the fleet that trust is grounded
-// in content addressing (the remote worker computed the same key).
+// in content addressing (the remote worker computed the same key). The
+// disk tier adopts a valid entry already on disk instead of writing it
+// again: a fleet worker sharing the store published the point before it
+// answered, so only a missing or damaged file costs a Put.
 func (c *ResultCache) Inject(cfg Config, profile prog.Profile, res Result) bool {
 	key := cacheKey{canonicalConfig(cfg), canonicalProfile(profile)}
 	e := &cacheEntry{key: key, done: make(chan struct{}), res: res}
@@ -54,8 +57,12 @@ func (c *ResultCache) Inject(cfg Config, profile prog.Profile, res Result) bool 
 	c.mu.Unlock()
 	close(e.done)
 	if d := c.disk.Load(); d != nil {
+		addr := diskKeyOf(key)
+		if d.Adopt(addr) {
+			return true
+		}
 		ent := resultEntry(&res)
-		if derr := d.Put(diskKeyOf(key), &ent); derr != nil {
+		if derr := d.Put(addr, &ent); derr != nil {
 			c.diskErrs.Add(1)
 		} else {
 			c.diskPuts.Add(1)

@@ -3,6 +3,8 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"syscall"
 )
 
 // FS is the store's seam to the filesystem. Every byte the store reads or
@@ -46,21 +48,85 @@ type OSFS struct{}
 // MkdirAll implements FS.
 func (OSFS) MkdirAll(path string) error { return os.MkdirAll(path, 0o755) }
 
-// ReadDir implements FS.
+// ReadDir implements FS: open, getdents until it returns nothing, close.
+// Names come back sorted, as os.ReadDir returns them; "." and ".." are
+// skipped.
 func (OSFS) ReadDir(path string) ([]string, error) {
-	ents, err := os.ReadDir(path)
+	fd, err := sysOpen(path, syscall.O_RDONLY|syscall.O_DIRECTORY|syscall.O_CLOEXEC)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(ents))
-	for i, e := range ents {
-		names[i] = e.Name()
+	defer syscall.Close(fd)
+	var names []string
+	buf := make([]byte, direntBufSize)
+	for {
+		n, err := syscall.ReadDirent(fd, buf)
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return nil, &os.PathError{Op: "readdirent", Path: path, Err: err}
+		}
+		if n <= 0 {
+			break
+		}
+		_, _, names = syscall.ParseDirent(buf[:n], -1, names)
 	}
+	slices.Sort(names)
 	return names, nil
 }
 
-// ReadFile implements FS.
-func (OSFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
+// ReadFile implements FS: open, read until a zero-length read, close. That
+// is four system calls for an entry; os.ReadFile adds an fstat to size its
+// buffer and a netpoller registration that regular files always refuse.
+// The buffer starts large enough for an entry and grows as needed.
+func (OSFS) ReadFile(path string) ([]byte, error) {
+	fd, err := sysOpen(path, syscall.O_RDONLY|syscall.O_CLOEXEC)
+	if err != nil {
+		return nil, err
+	}
+	defer syscall.Close(fd)
+	data := make([]byte, 0, readBufSize)
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := syscall.Read(fd, data[len(data):cap(data)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return nil, &os.PathError{Op: "read", Path: path, Err: err}
+		}
+		if n == 0 {
+			return data, nil
+		}
+		data = data[:len(data)+n]
+	}
+}
+
+const (
+	// readBufSize holds a whole entry (536 bytes) with room for the
+	// zero-length read that ends it, so an entry read never grows.
+	readBufSize = 1024
+	// direntBufSize is os.ReadDir's getdents buffer size.
+	direntBufSize = 8192
+)
+
+// sysOpen is syscall.Open with EINTR retried and failures wrapped in an
+// *os.PathError, so errors.Is(err, fs.ErrNotExist) holds as it does for
+// the os package's errors.
+func sysOpen(path string, mode int) (int, error) {
+	for {
+		fd, err := syscall.Open(path, mode, 0)
+		if err == nil {
+			return fd, nil
+		}
+		if err != syscall.EINTR {
+			return -1, &os.PathError{Op: "open", Path: path, Err: err}
+		}
+	}
+}
 
 // WriteFile implements FS: create/truncate, write, fsync, close — an error
 // from any step (including Close, which can surface deferred write errors)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -107,6 +108,12 @@ type Store struct {
 // and orphaned temp files from interrupted writes are removed. Open fails
 // only when the root or quarantine directory cannot be created — never
 // because of what the directory contains.
+//
+// The scan reads the shard directories concurrently, on GOMAXPROCS
+// goroutines. Its outcome does not depend on the order, but the order in
+// which entry reads reach fsys does: a faultinject.DiskFS fault aimed at
+// open-time reads must pick its victim by path (Match), not by position
+// (After).
 func Open(dir string, fsys FS) (*Store, error) {
 	if fsys == nil {
 		fsys = OSFS{}
@@ -139,7 +146,8 @@ func (s *Store) SetQuarantineWarn(n int, warn func(files int)) {
 	}
 }
 
-// recover is the open-time scan. Every failure mode is contained: an
+// recover is the open-time scan, spread over GOMAXPROCS goroutines that
+// take shard directories in turn. Every failure mode is contained: an
 // unreadable shard directory is skipped, an unreadable or undecodable entry
 // is quarantined, a quarantine move that itself fails falls back to
 // deletion, and a deletion that fails is simply left behind (the file stays
@@ -149,49 +157,73 @@ func (s *Store) recover() {
 	if err != nil {
 		return
 	}
-	for _, shard := range names {
-		if len(shard) != 2 || !isHex(shard) {
+	var shards []string
+	for _, name := range names {
+		if len(name) != 2 || !isHex(name) {
 			continue // quarantine/, foreign files: not entry shards
 		}
-		shardPath := filepath.Join(s.dir, shard)
-		files, err := s.fs.ReadDir(shardPath)
-		if err != nil {
+		shards = append(shards, name)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(shards)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(shards) {
+					return
+				}
+				s.recoverShard(shards[i])
+			}
+		}()
+	}
+	wg.Wait()
+	s.quarantinedAtOpen = int(s.quarantined.Load())
+}
+
+// recoverShard scans one shard directory for recover.
+func (s *Store) recoverShard(shard string) {
+	shardPath := filepath.Join(s.dir, shard)
+	files, err := s.fs.ReadDir(shardPath)
+	if err != nil {
+		return
+	}
+	for _, name := range files {
+		path := filepath.Join(shardPath, name)
+		if strings.HasPrefix(name, TmpPrefix) {
+			// Temp file of an interrupted OR in-flight write. Multiple
+			// processes share one store (multi-worker sweeps), so
+			// "orphan" must mean "its writer is dead": the name carries
+			// the writer's PID, and only temp files whose writer no
+			// longer exists are dropped. A live writer's temp file is
+			// about to be renamed into place — deleting it here would
+			// fail that writer's publish out from under it.
+			if tmpWriterDead(name) {
+				s.fs.Remove(path)
+			}
 			continue
 		}
-		for _, name := range files {
-			path := filepath.Join(shardPath, name)
-			if strings.HasPrefix(name, TmpPrefix) {
-				// Temp file of an interrupted OR in-flight write. Multiple
-				// processes share one store (multi-worker sweeps), so
-				// "orphan" must mean "its writer is dead": the name carries
-				// the writer's PID, and only temp files whose writer no
-				// longer exists are dropped. A live writer's temp file is
-				// about to be renamed into place — deleting it here would
-				// fail that writer's publish out from under it.
-				if tmpWriterDead(name) {
-					s.fs.Remove(path)
-				}
-				continue
-			}
-			key, ok := ParseKey(strings.TrimSuffix(name, EntrySuffix))
-			if !ok || !strings.HasSuffix(name, EntrySuffix) || shard != name[:2] {
-				s.quarantine(path, "open")
-				continue
-			}
-			data, err := s.fs.ReadFile(path)
-			if err != nil {
-				s.readErrs.Add(1)
-				s.quarantine(path, "open")
-				continue
-			}
-			if _, err := DecodeEntry(data); err != nil {
-				s.quarantine(path, "open")
-				continue
-			}
-			s.index[key] = struct{}{}
+		key, ok := ParseKey(strings.TrimSuffix(name, EntrySuffix))
+		if !ok || !strings.HasSuffix(name, EntrySuffix) || shard != name[:2] {
+			s.quarantine(path, "open")
+			continue
 		}
+		data, err := s.fs.ReadFile(path)
+		if err != nil {
+			s.readErrs.Add(1)
+			s.quarantine(path, "open")
+			continue
+		}
+		if _, err := DecodeEntry(data); err != nil {
+			s.quarantine(path, "open")
+			continue
+		}
+		s.mu.Lock()
+		s.index[key] = struct{}{}
+		s.mu.Unlock()
 	}
-	s.quarantinedAtOpen = int(s.quarantined.Load())
 }
 
 // quarantine moves the file at path into quarantine/ under a unique name
@@ -330,6 +362,26 @@ func (s *Store) Put(k Key, e *Entry) error {
 	s.mu.Unlock()
 	s.puts.Add(1)
 	return nil
+}
+
+// Adopt indexes the entry for k if its file is already on disk and valid,
+// and reports whether it did. It reads and validates the file as Get does;
+// it is how a process takes up an entry another process sharing the store
+// has published, without writing the same bytes again. A missing, unreadable
+// or invalid file is left alone and reported false: the caller's Put
+// replaces it.
+func (s *Store) Adopt(k Key) bool {
+	data, err := s.fs.ReadFile(s.path(k))
+	if err != nil {
+		return false
+	}
+	if _, err := DecodeEntry(data); err != nil {
+		return false
+	}
+	s.mu.Lock()
+	s.index[k] = struct{}{}
+	s.mu.Unlock()
+	return true
 }
 
 // Has reports whether k is indexed, without reading or validating the

@@ -3,10 +3,12 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -363,6 +365,124 @@ func TestCorruptKofNQuarantinesExactlyK(t *testing.T) {
 				continue
 			}
 			if err != nil || !ok || got != want {
+				t.Fatalf("seed %d: survivor %s: ok=%v err=%v identical=%v", seed, key, ok, err, got == want)
+			}
+		}
+	}
+}
+
+// TestConcurrentOpenScanIsOrderFree: the open scan reads shard directories
+// concurrently, so its outcome must not depend on which goroutine reaches
+// which shard first. Each round builds a ~500-entry store across every
+// shard with K corrupt entries, foreign junk and dead writers' temp files,
+// opens it with eight scan goroutines whatever the CPU count, and requires
+// the exact index, quarantine count and cleanup; a second open of the
+// repaired directory must index the same entries and quarantine nothing.
+func TestConcurrentOpenScanIsOrderFree(t *testing.T) {
+	const N = 500
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, seed := range []uint64{1, 2, 3} {
+		rng := xrand.New(seed)
+		dir := t.TempDir()
+		write := func(path string, data []byte) {
+			t.Helper()
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		entryPath := func(k Key) string {
+			return filepath.Join(dir, k.String()[:2], k.String()+EntrySuffix)
+		}
+		entries := make(map[Key]Entry, N)
+		for i := uint64(0); i < N; i++ {
+			e := filledEntry()
+			e.IPC = float64(i) * 1.25
+			k := testKey(1000 + i)
+			entries[k] = e
+			write(entryPath(k), EncodeEntry(&e))
+		}
+		k := int(rng.Uint64()%40) + 10
+		victims := map[Key]bool{}
+		for len(victims) < k {
+			victim := testKey(1000 + rng.Uint64()%N)
+			if victims[victim] {
+				continue
+			}
+			victims[victim] = true
+			data := EncodeEntry(new(Entry))
+			if rng.Uint64()%2 == 0 {
+				data = data[:rng.Uint64()%uint64(len(data))]
+			} else {
+				data[rng.Uint64()%uint64(len(data))] ^= 1 << (rng.Uint64() % 8)
+			}
+			write(entryPath(victim), data)
+		}
+		// Junk inside shards is quarantined; a foreign root file and a
+		// non-shard directory are not the scan's business.
+		misplaced := testKey(5000)
+		junk := []string{
+			filepath.Join(dir, "00", "notakey"+EntrySuffix),
+			filepath.Join(dir, "7f", "README"),
+			filepath.Join(dir, "ff", misplaced.String()+EntrySuffix),
+		}
+		for _, j := range junk {
+			write(j, []byte("junk"))
+		}
+		write(filepath.Join(dir, "NOTES"), []byte("keep"))
+		write(filepath.Join(dir, "zz", "keep"+EntrySuffix), []byte("keep"))
+		var temps []string
+		for i := 0; i < 8; i++ {
+			name := fmt.Sprintf("%s%016x.%d.%d", TmpPrefix, i, os.Getpid(), i) // our PID: a recycled leftover
+			if i%2 == 1 {
+				name = fmt.Sprintf("%s%016x.%d", TmpPrefix, i, i) // old format
+			}
+			temps = append(temps, filepath.Join(dir, fmt.Sprintf("%02x", i*31), name))
+			write(temps[i], []byte("partial"))
+		}
+
+		st, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got, want := st.Len(), N-k; got != want {
+			t.Fatalf("seed %d: indexed %d, want %d", seed, got, want)
+		}
+		s := st.Stats()
+		if s.QuarantinedAtOpen != k+len(junk) || s.QuarantineFiles != k+len(junk) {
+			t.Fatalf("seed %d: quarantined %d at open (%d files), want %d", seed, s.QuarantinedAtOpen, s.QuarantineFiles, k+len(junk))
+		}
+		for key := range entries {
+			if st.Has(key) == victims[key] {
+				t.Fatalf("seed %d: entry %s indexed=%v, corrupt=%v", seed, key, st.Has(key), victims[key])
+			}
+		}
+		for _, tmp := range temps {
+			if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+				t.Fatalf("seed %d: dead writer's temp file %s survived", seed, tmp)
+			}
+		}
+		for _, kept := range []string{filepath.Join(dir, "NOTES"), filepath.Join(dir, "zz", "keep"+EntrySuffix)} {
+			if _, err := os.Stat(kept); err != nil {
+				t.Fatalf("seed %d: non-shard file touched: %v", seed, err)
+			}
+		}
+
+		again, err := Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Len() != N-k || again.Stats().QuarantinedAtOpen != 0 {
+			t.Fatalf("seed %d: reopen indexed %d and quarantined %d, want %d and 0",
+				seed, again.Len(), again.Stats().QuarantinedAtOpen, N-k)
+		}
+		for key, want := range entries {
+			if victims[key] {
+				continue
+			}
+			if got, ok, err := again.Get(key); !ok || err != nil || got != want {
 				t.Fatalf("seed %d: survivor %s: ok=%v err=%v identical=%v", seed, key, ok, err, got == want)
 			}
 		}
