@@ -197,129 +197,95 @@ func BenchmarkSingleRun(b *testing.B) {
 
 // BenchmarkIssueStage isolates the issue stage on an enlarged instruction
 // window (256 entries — double Table 3), where wakeup/select dominates the
-// cycle loop. The sub-benchmarks run the same configuration through the
-// event-driven issue stage and through the legacy full-window scan it
-// replaced, so the optimization is individually measurable (the two are
-// bit-identical in results; the identity tests enforce it).
+// cycle loop. The sub-benchmark name (event) is the one CI's same-runner
+// comparison pairs head with base by.
 func BenchmarkIssueStage(b *testing.B) {
 	prev := sim.SetResultCaching(false)
 	defer sim.SetResultCaching(prev)
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"event", false}, {"scan", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			profile, _ := prog.ProfileByName("gcc")
-			cfg := sim.Default()
-			cfg.Pipe.WindowSize = 256
-			cfg.Pipe.LSQSize = 128
-			cfg.Pipe.LegacyScanIssue = mode.legacy
-			cfg.Instructions = 24000
-			cfg.Warmup = 6000
+	b.Run("event", func(b *testing.B) {
+		profile, _ := prog.ProfileByName("gcc")
+		cfg := sim.Default()
+		cfg.Pipe.WindowSize = 256
+		cfg.Pipe.LSQSize = 128
+		cfg.Instructions = 24000
+		cfg.Warmup = 6000
+		sim.Run(cfg, profile)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			sim.Run(cfg, profile)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.Run(cfg, profile)
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkFrontEnd isolates the in-order front end on a front-end-bound
 // shape (28-stage pipe: 12-deep fetch and decode pipes, so refill traffic
-// after every squash dominates), comparing the fused delay line (batched
-// fetch groups over one ring + cursor) against the legacy two-ring
-// reference it replaced. The two are bit-identical in results; the identity
-// tests enforce it.
+// after every squash dominates). The sub-benchmark keeps its name (fused)
+// for CI's same-runner comparison.
 func BenchmarkFrontEnd(b *testing.B) {
 	prev := sim.SetResultCaching(false)
 	defer sim.SetResultCaching(prev)
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"fused", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			profile, _ := prog.ProfileByName("go")
-			cfg := sim.Default()
-			cfg.Pipe.SetDepth(28)
-			cfg.Pipe.LegacyFrontEnd = mode.legacy
-			cfg.Instructions = 24000
-			cfg.Warmup = 6000
+	b.Run("fused", func(b *testing.B) {
+		profile, _ := prog.ProfileByName("go")
+		cfg := sim.Default()
+		cfg.Pipe.SetDepth(28)
+		cfg.Instructions = 24000
+		cfg.Warmup = 6000
+		sim.Run(cfg, profile)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			sim.Run(cfg, profile)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.Run(cfg, profile)
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSquashHeavy isolates the power-attribution machinery on the shape
 // where it dominates: the highest-misprediction profile on the deepest pipe
 // (28 stages) with a doubled instruction window (256 entries, as in
 // BenchmarkIssueStage), so every flush squashes the largest possible
-// population of in-flight work and moves its accumulated events to the
-// wasted pool. The sub-benchmarks run the same configuration through the
-// epoch ledgers (whole squashed epochs fold in O(epochs x units)) and
-// through the legacy per-instruction event tables they replaced (one table
-// walk per squashed instruction). The two are bit-identical in results; the
-// identity tests enforce it.
+// population of in-flight work and folds its epochs' events into the wasted
+// pool. The sub-benchmark keeps its name (epoch) for CI's same-runner
+// comparison.
 func BenchmarkSquashHeavy(b *testing.B) {
 	prev := sim.SetResultCaching(false)
 	defer sim.SetResultCaching(prev)
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"epoch", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			profile, _ := prog.ProfileByName("go")
-			cfg := sim.Default()
-			cfg.Pipe.SetDepth(28)
-			cfg.Pipe.WindowSize = 256
-			cfg.Pipe.LSQSize = 128
-			cfg.Pipe.LegacyEventLedger = mode.legacy
-			cfg.Instructions = 24000
-			cfg.Warmup = 6000
+	b.Run("epoch", func(b *testing.B) {
+		profile, _ := prog.ProfileByName("go")
+		cfg := sim.Default()
+		cfg.Pipe.SetDepth(28)
+		cfg.Pipe.WindowSize = 256
+		cfg.Pipe.LSQSize = 128
+		cfg.Instructions = 24000
+		cfg.Warmup = 6000
+		sim.Run(cfg, profile)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			sim.Run(cfg, profile)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.Run(cfg, profile)
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkWalkerNext isolates the workload walker — the single hottest
-// function of the cycle loop — on the highest-misprediction profile,
-// comparing the fast path (integer outcome thresholds, flat blockMeta
-// tables) against the retained legacy reference (float thresholds, block
-// chasing, memRef map). The two are bit-identical in output; the identity
-// tests enforce it.
+// function of the cycle loop — on the highest-misprediction profile. The
+// sub-benchmark keeps its name (fast) for CI's same-runner comparison.
 func BenchmarkWalkerNext(b *testing.B) {
 	profile, _ := prog.ProfileByName("go")
 	program := prog.Generate(profile)
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"fast", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			w := prog.NewWalker(program)
-			w.SetLegacy(mode.legacy)
-			var d prog.DynInst
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.Next(&d)
-				if d.BrID != prog.NoBranch {
-					w.Steer(d.Taken)
-					w.Release(&d)
-				}
+	b.Run("fast", func(b *testing.B) {
+		w := prog.NewWalker(program)
+		var d prog.DynInst
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.Next(&d)
+			if d.BrID != prog.NoBranch {
+				w.Steer(d.Taken)
+				w.Release(&d)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkTLBAccess isolates the fully associative TLB: a mixed stream over

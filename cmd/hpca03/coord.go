@@ -64,12 +64,6 @@ func workerArgs(storeDir string, part, of int, exp, id string, opts sim.Options,
 	if bench != "" {
 		args = append(args, "-bench", bench)
 	}
-	if opts.LegacyFrontEnd {
-		args = append(args, "-legacyfrontend")
-	}
-	if opts.LegacyEventLedger {
-		args = append(args, "-legacyledger")
-	}
 	if fault != "" {
 		args = append(args, "-fault", fault)
 	}

@@ -173,9 +173,12 @@ func (s *server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 
 // optionsFrom resolves request parameters onto the service defaults:
 // n, warmup (instructions), depth (stages), kb (total predictor+estimator
-// budget), bench (comma-separated profile names).
+// budget), bench (comma-separated profile names). Depth and kb are checked
+// by sim.CheckDepthKB; an unset one stands at the paper baseline.
 func (s *server) optionsFrom(q url.Values) (sim.Options, error) {
 	opts := s.opts
+	base := sim.Default()
+	depth, kb := base.Pipe.Depth(), (base.PredBytes+base.ConfBytes)/1024
 	if v := q.Get("n"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || n == 0 {
@@ -199,18 +202,22 @@ func (s *server) optionsFrom(q url.Values) (sim.Options, error) {
 	}
 	if v := q.Get("depth"); v != "" {
 		d, err := strconv.Atoi(v)
-		if err != nil || d < 6 || d > 64 {
+		if err != nil {
 			return opts, fmt.Errorf("bad depth %q (want 6..64)", v)
 		}
-		opts.Depth = d
+		depth, opts.Depth = d, d
 	}
 	if v := q.Get("kb"); v != "" {
-		kb, err := strconv.Atoi(v)
-		if err != nil || kb < 1 || kb > 1024 {
+		k, err := strconv.Atoi(v)
+		if err != nil {
 			return opts, fmt.Errorf("bad kb %q (want 1..1024)", v)
 		}
-		opts.PredBytes = kb * 1024 / 2
-		opts.ConfBytes = kb * 1024 / 2
+		kb = k
+		opts.PredBytes = k * 1024 / 2
+		opts.ConfBytes = k * 1024 / 2
+	}
+	if err := sim.CheckDepthKB(depth, kb); err != nil {
+		return opts, err
 	}
 	if v := q.Get("bench"); v != "" {
 		var ps []prog.Profile

@@ -10,7 +10,7 @@
 //
 //	stworker -store dir -part i -of n [-exp experiment] [-id expID]
 //	         [-n instructions] [-warmup instructions] [-depth stages]
-//	         [-kb totalKB] [-bench list] [-legacyfrontend] [-legacyledger]
+//	         [-kb totalKB] [-bench list]
 //	         [-ttl duration] [-timeout duration] [-retries k]
 //	         [-fault spec] [-steal] [-v]
 //
@@ -55,8 +55,6 @@ func run() int {
 	depth := flag.Int("depth", 14, "pipeline depth in stages")
 	kb := flag.Int("kb", 16, "total predictor+estimator budget in KB")
 	bench := flag.String("bench", "", "restrict to a comma-separated list of benchmarks")
-	legacyFront := flag.Bool("legacyfrontend", false, "simulate on the two-ring reference front end")
-	legacyLedger := flag.Bool("legacyledger", false, "simulate on the per-instruction power-attribution reference")
 	ttl := flag.Duration("ttl", grid.DefaultTTL, "lease expiry horizon (must match the coordinator's)")
 	timeout := flag.Duration("timeout", 0, "per-point deadline (0 = none)")
 	retries := flag.Int("retries", 0, "per-point retry budget for transient failures")
@@ -80,14 +78,12 @@ func run() int {
 	}
 
 	opts := sim.Options{
-		Instructions:      *n,
-		Warmup:            *warmup,
-		Depth:             *depth,
-		PredBytes:         *kb * 1024 / 2,
-		ConfBytes:         *kb * 1024 / 2,
-		LegacyFrontEnd:    *legacyFront,
-		LegacyEventLedger: *legacyLedger,
-		Supervise:         sim.Supervisor{Timeout: *timeout, Retries: *retries},
+		Instructions: *n,
+		Warmup:       *warmup,
+		Depth:        *depth,
+		PredBytes:    *kb * 1024 / 2,
+		ConfBytes:    *kb * 1024 / 2,
+		Supervise:    sim.Supervisor{Timeout: *timeout, Retries: *retries},
 	}
 	if *bench != "" {
 		var ps []prog.Profile

@@ -275,16 +275,11 @@ func TestComputeServerAdmission(t *testing.T) {
 	}
 }
 
-// TestGridSpecLegacyFlagsRoundTrip: the identity flags survive the wire —
-// a spec carrying LegacyFrontEnd/LegacyEventLedger encodes them into the
-// query, parses back identically, and forwards them into sim.Options, so a
-// fleet-served legacy-mode run exercises the same reference paths as a
-// local one.
-func TestGridSpecLegacyFlagsRoundTrip(t *testing.T) {
+// TestGridSpecRoundTrip: a spec survives the wire — it encodes into the
+// query, parses back identically, and expands into the sim.Options a local
+// run of the same grid would use.
+func TestGridSpecRoundTrip(t *testing.T) {
 	spec := testSpec(6300)
-	spec.LegacyFrontEnd = true
-	spec.LegacyEventLedger = true
-
 	back, err := gridSpecFrom(spec.Query())
 	if err != nil {
 		t.Fatalf("gridSpecFrom: %v", err)
@@ -296,17 +291,9 @@ func TestGridSpecLegacyFlagsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SimOptions: %v", err)
 	}
-	if !opts.LegacyFrontEnd || !opts.LegacyEventLedger {
-		t.Fatalf("legacy flags not forwarded into sim.Options: %+v", opts)
-	}
-
-	// And a plain spec must leave both off.
-	plain, err := testSpec(6300).SimOptions()
-	if err != nil {
-		t.Fatalf("SimOptions: %v", err)
-	}
-	if plain.LegacyFrontEnd || plain.LegacyEventLedger {
-		t.Fatalf("legacy flags set on a plain spec: %+v", plain)
+	if opts.Instructions != spec.N || opts.Warmup != spec.Warmup || opts.Depth != spec.Depth ||
+		opts.PredBytes+opts.ConfBytes != spec.KB*1024 || len(opts.Profiles) != 1 {
+		t.Fatalf("spec %+v expanded to %+v", spec, opts)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package lint implements stlint, the simulator's static-analysis suite.
 //
 // The headline properties of this repository — byte-identical experiment
-// output, a 0 allocs/op cycle loop, fault-injectable I/O, typed failure
-// paths, and Legacy* identity twins for every fast path — are conventions
-// that no compiler checks. This package turns each convention into a
+// output, a 0 allocs/op cycle loop, fault-injectable I/O, and typed failure
+// paths — are conventions that no compiler checks. This package turns each convention into a
 // machine-checked analyzer:
 //
 //   - barepanic: internal/pipe, internal/sim, internal/grid and
@@ -24,9 +23,6 @@
 //     closures, non-self appends, interface boxing); `//st:alloc-ok` opts
 //     a justified site out. This is the static half of the 0 allocs/op
 //     benchmark gate.
-//   - legacypair: every struct field named Legacy* must be referenced by at
-//     least one _test.go file of its package, so a fast path can never
-//     silently lose its identity-test reference twin.
 //
 // The framework deliberately mirrors a subset of the golang.org/x/tools
 // go/analysis API (Analyzer, Pass, Diagnostic) but is built on the standard
@@ -83,7 +79,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full stlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{BarePanic, FSSeam, Determinism, HotAlloc, LegacyPair}
+	return []*Analyzer{BarePanic, FSSeam, Determinism, HotAlloc}
 }
 
 // PkgPath returns the unit's package path with any test-variant suffix

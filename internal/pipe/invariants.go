@@ -3,10 +3,8 @@ package pipe
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"selthrottle/internal/isa"
-	"selthrottle/internal/power"
 	"selthrottle/internal/prog"
 )
 
@@ -19,14 +17,14 @@ import (
 //  2. lsqUsed equals the number of memory operations in the window.
 //  3. The rename table maps each register to the youngest in-window
 //     producer of that register (or to nothing).
-//  4. Front-end queues hold only instructions younger than everything in
-//     the window, and are themselves age-ordered.
+//  4. The front-end delay line holds only instructions younger than
+//     everything in the window, in age order, and its decode cursor and
+//     segment occupancies match the resident instructions.
 //  5. No committed (retired) instruction lingers anywhere.
-//  6. Event-issue bookkeeping (when enabled): every resident instruction
-//     records its true ring slot, the ready bitmap flags exactly the
-//     window's ready unissued instructions, and the store/barrier side
-//     lists cover every incomplete store and every unissued barrier
-//     carrier in the window.
+//  6. Event-issue bookkeeping: every resident instruction records its
+//     true ring slot, the ready bitmap flags exactly the window's ready
+//     unissued instructions, and the store/barrier side lists cover every
+//     incomplete store and every unissued barrier carrier in the window.
 //  7. Checkpoint-lease accounting: every unresolved in-flight conditional
 //     branch holds exactly one arena lease, nothing else holds any, and the
 //     walker's leased count matches — i.e. resolution, squash, and recovery
@@ -35,11 +33,6 @@ import (
 //     ordered by opening sequence number, the cached current-epoch and
 //     retirement triggers match the ring, and every in-flight instruction
 //     is bound to the open epoch whose span covers its sequence number.
-//     Under LegacyEventLedger the check is exact: the sum of the open
-//     ledgers must equal, per unit, the summed per-instruction event tables
-//     of the in-flight instructions — i.e. epoch folding at squash and
-//     recycling at retirement can never gain or lose an event relative to
-//     the per-instruction reference.
 func (p *Pipeline) CheckInvariants() error {
 	// 1 + 2: window order and LSQ accounting.
 	var prev uint64
@@ -86,79 +79,49 @@ func (p *Pipeline) CheckInvariants() error {
 	}
 
 	// 4: the front end holds only instructions younger than the window, in
-	// age order. The fused delay line additionally pins its cursors and
-	// segment occupancy counters to the resident instructions.
-	if p.fusedFront {
-		if err := p.checkFusedFrontEnd(youngest); err != nil {
-			return err
-		}
-	} else {
-		check := func(name string, q *ring[*inst]) error {
-			var qprev uint64
-			for i := 0; i < q.Len(); i++ {
-				in := q.At(i)
-				if in.d.Seq <= youngest && p.window.Len() > 0 {
-					return fmt.Errorf("%s holds seq %d not younger than window tail %d",
-						name, in.d.Seq, youngest)
-				}
-				if i > 0 && in.d.Seq <= qprev {
-					return fmt.Errorf("%s out of order at %d", name, i)
-				}
-				qprev = in.d.Seq
-				if in.squashed {
-					return fmt.Errorf("%s holds squashed seq %d", name, in.d.Seq)
-				}
-			}
-			return nil
-		}
-		if err := check("fetchQ", p.fetchQ); err != nil {
-			return err
-		}
-		if err := check("decodeQ", p.decodeQ); err != nil {
-			return err
-		}
+	// age order, and its cursor and segment occupancies match.
+	if err := p.checkFrontEnd(youngest); err != nil {
+		return err
 	}
 
 	// 6: event-driven issue bookkeeping mirrors the window exactly.
-	if p.eventIssue {
-		expect := make([]uint64, len(p.readyMask))
-		stores := make(map[uint64]bool)
-		barriers := make(map[uint64]bool)
-		for _, e := range p.storeQ {
-			if e.in.d.Seq == e.seq && !e.in.done && !e.in.squashed {
-				stores[e.seq] = true
+	expect := make([]uint64, len(p.readyMask))
+	stores := make(map[uint64]bool)
+	barriers := make(map[uint64]bool)
+	for _, e := range p.storeQ {
+		if e.in.d.Seq == e.seq && !e.in.done && !e.in.squashed {
+			stores[e.seq] = true
+		}
+	}
+	for _, e := range p.barrierQ {
+		if e.in.d.Seq == e.seq && !e.in.issued && !e.in.squashed {
+			barriers[e.seq] = true
+		}
+	}
+	for i := 0; i < p.window.Len(); i++ {
+		in := p.window.At(i)
+		if slot := (p.window.head + i) % p.window.Cap(); int(in.wpos) != slot {
+			return fmt.Errorf("seq %d records slot %d, resides in slot %d", in.d.Seq, in.wpos, slot)
+		}
+		if !in.issued {
+			if ready := in.ready(); ready != (in.nwait == 0) {
+				return fmt.Errorf("seq %d: nwait %d disagrees with pointer-chased readiness %v",
+					in.d.Seq, in.nwait, ready)
+			}
+			if in.ready() {
+				expect[in.wpos>>6] |= 1 << uint(in.wpos&63)
 			}
 		}
-		for _, e := range p.barrierQ {
-			if e.in.d.Seq == e.seq && !e.in.issued && !e.in.squashed {
-				barriers[e.seq] = true
-			}
+		if in.d.St.Op == isa.OpStore && !in.done && !stores[in.d.Seq] {
+			return fmt.Errorf("incomplete store seq %d missing from storeQ", in.d.Seq)
 		}
-		for i := 0; i < p.window.Len(); i++ {
-			in := p.window.At(i)
-			if slot := (p.window.head + i) % p.window.Cap(); int(in.wpos) != slot {
-				return fmt.Errorf("seq %d records slot %d, resides in slot %d", in.d.Seq, in.wpos, slot)
-			}
-			if !in.issued {
-				if ready := in.ready(); ready != (in.nwait == 0) {
-					return fmt.Errorf("seq %d: nwait %d disagrees with pointer-chased readiness %v",
-						in.d.Seq, in.nwait, ready)
-				}
-				if in.ready() {
-					expect[in.wpos>>6] |= 1 << uint(in.wpos&63)
-				}
-			}
-			if in.d.St.Op == isa.OpStore && !in.done && !stores[in.d.Seq] {
-				return fmt.Errorf("incomplete store seq %d missing from storeQ", in.d.Seq)
-			}
-			if in.hasBarrier && !in.issued && !barriers[in.d.Seq] {
-				return fmt.Errorf("unissued barrier carrier seq %d missing from barrierQ", in.d.Seq)
-			}
+		if in.hasBarrier && !in.issued && !barriers[in.d.Seq] {
+			return fmt.Errorf("unissued barrier carrier seq %d missing from barrierQ", in.d.Seq)
 		}
-		for w := range expect {
-			if expect[w] != p.readyMask[w] {
-				return fmt.Errorf("ready bitmap word %d is %#x, window implies %#x", w, p.readyMask[w], expect[w])
-			}
+	}
+	for w := range expect {
+		if expect[w] != p.readyMask[w] {
+			return fmt.Errorf("ready bitmap word %d is %#x, window implies %#x", w, p.readyMask[w], expect[w])
 		}
 	}
 
@@ -189,17 +152,8 @@ func (p *Pipeline) CheckInvariants() error {
 		}
 		return nil
 	}
-	if p.fusedFront {
-		if err := countLeases("frontend", p.frontQ); err != nil {
-			return err
-		}
-	} else {
-		if err := countLeases("fetchQ", p.fetchQ); err != nil {
-			return err
-		}
-		if err := countLeases("decodeQ", p.decodeQ); err != nil {
-			return err
-		}
+	if err := countLeases("frontend", p.frontQ); err != nil {
+		return err
 	}
 	if err := countLeases("window", p.window); err != nil {
 		return err
@@ -219,8 +173,8 @@ func (p *Pipeline) CheckInvariants() error {
 	return p.checkEpochs()
 }
 
-// checkEpochs validates the speculation-epoch ring and, under the legacy
-// attribution scheme, the exact live-ledger accounting (invariant 8).
+// checkEpochs validates the speculation-epoch ring and the epoch binding of
+// every in-flight instruction (invariant 8).
 func (p *Pipeline) checkEpochs() error {
 	if p.epochCount < 1 {
 		return fmt.Errorf("no open epoch")
@@ -256,9 +210,7 @@ func (p *Pipeline) checkEpochs() error {
 	}
 
 	// Every in-flight instruction must be bound to the open epoch whose
-	// span covers its sequence number; under the legacy scheme, accumulate
-	// the per-instruction event tables for the exact ledger cross-check.
-	var want [power.NumUnits]uint64
+	// span covers its sequence number.
 	checkInst := func(in *inst) error {
 		if in.epoch < 0 || int(in.epoch) >= len(p.epochBuf) || pos[in.epoch] < 0 {
 			return fmt.Errorf("seq %d bound to epoch slot %d, which is not open", in.d.Seq, in.epoch)
@@ -272,12 +224,6 @@ func (p *Pipeline) checkEpochs() error {
 				return fmt.Errorf("seq %d younger than its epoch's closing seq %d", in.d.Seq, next)
 			}
 		}
-		if p.legacyLedger {
-			for m := in.lev.mask; m != 0; m &= m - 1 {
-				u := bits.TrailingZeros16(m)
-				want[u] += uint64(in.lev.ev[u])
-			}
-		}
 		return nil
 	}
 	checkRing := func(q *ring[*inst]) error {
@@ -288,45 +234,21 @@ func (p *Pipeline) checkEpochs() error {
 		}
 		return nil
 	}
-	if p.fusedFront {
-		if err := checkRing(p.frontQ); err != nil {
-			return err
-		}
-	} else {
-		if err := checkRing(p.fetchQ); err != nil {
-			return err
-		}
-		if err := checkRing(p.decodeQ); err != nil {
-			return err
-		}
-	}
-	if err := checkRing(p.window); err != nil {
+	if err := checkRing(p.frontQ); err != nil {
 		return err
 	}
-	if p.legacyLedger {
-		var got [power.NumUnits]uint64
-		for i := int32(0); i < p.epochCount; i++ {
-			for u, n := range p.epochBuf[p.epochSlot(i)].led {
-				got[u] += uint64(n)
-			}
-		}
-		if got != want {
-			return fmt.Errorf("open ledgers hold %v, in-flight instructions hold %v", got, want)
-		}
-	}
-	return nil
+	return checkRing(p.window)
 }
 
-// checkFusedFrontEnd validates the fused delay line's structure against the
+// checkFrontEnd validates the delay line's structure against the
 // instructions it holds: global age order, youth relative to the window, no
 // squashed residue, decode-cursor discipline (the decoded prefix carries
 // enter-dispatch stamps), and the two segment occupancies against their
 // capacities. Enter-decode stamps are deliberately NOT required to be
 // monotone along the ring: a fetch group formed right after an I-cache miss
-// can carry a smaller stamp than the missing group ahead of it (both front
-// ends gate decode on the head instruction only, so the inversion is
-// harmless and identical in the two-ring reference).
-func (p *Pipeline) checkFusedFrontEnd(youngest uint64) error {
+// can carry a smaller stamp than the missing group ahead of it (decode gates
+// on the head instruction only, so the inversion is harmless).
+func (p *Pipeline) checkFrontEnd(youngest uint64) error {
 	if p.decoded < 0 || p.decoded > p.frontQ.Len() {
 		return fmt.Errorf("frontend decode cursor %d outside [0, %d]", p.decoded, p.frontQ.Len())
 	}

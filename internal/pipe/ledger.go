@@ -4,12 +4,12 @@ package pipe
 //
 // The paper's central metric splits every unit's activity into useful and
 // wasted events, which requires knowing, for each squashed instruction, the
-// events it had accumulated so far. The historical scheme carried a per-unit
-// counter table on every in-flight instruction (13 bytes written on every
-// note, walked bit by bit on every squash). The epoch ledger replaces it
-// wholesale, Wattch-style: attribution needs no per-instruction counters,
-// only a correct pool assignment at resolution — which speculation epochs
-// deliver for whole instruction runs at once.
+// events it had accumulated so far. A per-instruction scheme carries a
+// per-unit counter table on every in-flight instruction (written on every
+// note, walked on every squash). The epoch ledger needs none, Wattch-style:
+// attribution needs no per-instruction counters, only a correct pool
+// assignment at resolution — which speculation epochs deliver for whole
+// instruction runs at once.
 //
 //   - An epoch is a run of consecutively fetched instructions bounded by
 //     conditional branches: fetching a conditional branch closes the current
@@ -35,19 +35,18 @@ package pipe
 //     event can arrive late and no unresolved branch old enough to squash
 //     the epoch remains. Wrong-path instructions still in flight when a run
 //     drains were never squashed, so their epochs simply stay open and their
-//     events stay useful — exactly the per-instruction scheme's semantics
-//     (events move to the wasted pool at actual squash only, never eagerly
-//     on the WrongPath mark).
+//     events stay useful: events move to the wasted pool at actual squash
+//     only, never eagerly on the WrongPath mark.
 //
 // Exactness: ledgers and the pools they fold into are integer counters, so
 // attribution is independent of fold order and batching granularity (the
 // power.Meter.AddTally argument), and the member-set identities above make
-// the folded totals equal the per-instruction reference count for count. The
-// reference scheme survives behind Config.LegacyEventLedger (hpca03
-// -legacyledger) and, when enabled, these ledgers become shadow bookkeeping
-// that CheckInvariants cross-validates against the per-instruction counters:
-// the sum of the open ledgers must equal, per unit, the summed counters of
-// the in-flight instructions.
+// the folded totals equal a per-instruction count, count for count. The
+// consequences are exact conservation laws the property tests check at any
+// cycle: Wasted[ICache] is WrongPathFetched minus the wrong-path
+// instructions still in the front end or window, Wasted[Rename] is
+// WrongPathDecoded minus the decoded ones among them, and Wasted[ALU] is
+// WrongPathIssued minus the issued ones in the window.
 
 import (
 	"math"
@@ -62,15 +61,6 @@ import (
 type epochRec struct {
 	openSeq int64
 	led     [power.NumUnits]uint32
-}
-
-// instEv is the per-instruction event table of the legacy attribution scheme
-// (Config.LegacyEventLedger): one counter per unit plus a touched-units mask
-// so squash walks only the handful of nonzero entries. Fast-path instructions
-// carry no such table — inst.lev stays nil and untouched.
-type instEv struct {
-	ev   [power.NumUnits]uint8
-	mask uint16
 }
 
 // initEpochs sizes the epoch ring and opens the base epoch. Open epochs are
@@ -158,9 +148,7 @@ func (p *Pipeline) retireEpochs(s int64) {
 // flush at branch brSeq squashes exactly the members of those epochs (see
 // the package comment above), and post-recovery fetch continues at the
 // speculation level the flushing branch itself occupies, so it gets a fresh
-// epoch under the same key. Under Config.LegacyEventLedger the ledgers are
-// shadow bookkeeping and squash feeds the wasted pool per instruction
-// instead; the folded totals are identical either way.
+// epoch under the same key.
 //
 //st:hotpath
 func (p *Pipeline) foldEpochs(brSeq int64) {
@@ -169,10 +157,8 @@ func (p *Pipeline) foldEpochs(brSeq int64) {
 		if top.openSeq < brSeq {
 			break
 		}
-		if !p.legacyLedger {
-			for u, n := range top.led {
-				p.wastedTally[u] += uint64(n)
-			}
+		for u, n := range top.led {
+			p.wastedTally[u] += uint64(n)
 		}
 		top.led = [power.NumUnits]uint32{}
 		p.epochCount--
@@ -197,18 +183,10 @@ func (p *Pipeline) EpochStats() (open, capacity, highWater int) {
 // note records one activity event on unit u attributed to in. The event
 // lands in the run-wide activity tally (flushed to the meter once per Run)
 // and in the ledger of in's fetch epoch, which carries it to the wasted pool
-// if the epoch is squashed. Under Config.LegacyEventLedger the instruction's
-// own event table is maintained too — the reference attribution path, which
-// needs no saturation guard: every stage notes a unit at most a fixed
-// handful of times (the maximum is three — regfile and window), far below
-// the uint8 range.
+// if the epoch is squashed.
 //
 //st:hotpath
 func (p *Pipeline) note(in *inst, u power.Unit) {
 	p.tally[u]++
 	p.epochBuf[in.epoch].led[u]++
-	if p.legacyLedger {
-		in.lev.ev[u]++
-		in.lev.mask |= 1 << uint(u)
-	}
 }

@@ -8,12 +8,11 @@ import (
 	"selthrottle/internal/core"
 	"selthrottle/internal/power"
 	"selthrottle/internal/prog"
-	"selthrottle/internal/xrand"
 )
 
 // buildLedger constructs a pipeline over a named profile with an explicit
-// attribution mode and config shape (the ledger tests' analogue of build).
-func buildLedger(t testing.TB, bench string, policy core.Policy, legacy bool, shape func(*Config)) (*Pipeline, *power.Meter) {
+// config shape (the ledger tests' analogue of build).
+func buildLedger(t testing.TB, bench string, policy core.Policy, shape func(*Config)) (*Pipeline, *power.Meter) {
 	t.Helper()
 	p, ok := prog.ProfileByName(bench)
 	if !ok {
@@ -22,7 +21,6 @@ func buildLedger(t testing.TB, bench string, policy core.Policy, legacy bool, sh
 	program := prog.Generate(p)
 	w := prog.NewWalker(program)
 	cfg := Default()
-	cfg.LegacyEventLedger = legacy
 	if shape != nil {
 		shape(&cfg)
 	}
@@ -34,87 +32,26 @@ func buildLedger(t testing.TB, bench string, policy core.Policy, legacy bool, sh
 	return New(cfg, w, bpred.NewGshare(8<<10), est, core.NewController(policy), meter), meter
 }
 
-// TestEpochLedgerMatchesLegacyRandomized is the randomized attribution net:
-// random profiles, policies, depths, and front-end/issue implementations are
-// run under both attribution schemes, and the full statistics, the meter's
-// per-unit useful and wasted totals, and the pool, checkpoint, and epoch
-// accounting must agree exactly. A fold that gains or loses a single event —
-// an epoch folded too eagerly (e.g. on the WrongPath mark), folded twice, or
-// retired with a member still in flight — diverges immediately in the
-// per-unit wasted totals.
-func TestEpochLedgerMatchesLegacyRandomized(t *testing.T) {
-	rng := xrand.New(0xE90C)
-	profiles := []string{"go", "gcc", "twolf", "parser"}
-	policies := []core.Policy{
-		core.Baseline(),
-		core.Selective("c2", core.Spec{Fetch: core.RateQuarter, NoSelect: true}, core.Spec{Fetch: core.RateStall}),
-		core.Selective("dec", core.Spec{Fetch: core.RateHalf, Decode: core.RateQuarter}, core.Spec{Decode: core.RateStall}),
-		core.PipelineGating(2),
-	}
-	for trial := 0; trial < 12; trial++ {
-		bench := profiles[rng.Intn(len(profiles))]
-		policy := policies[rng.Intn(len(policies))]
-		depth := 6 + 2*rng.Intn(12)
-		legacyFront := rng.Intn(2) == 1
-		legacyScan := rng.Intn(4) == 0
-		run := func(legacyLedger bool) (Stats, power.Meter, [2]uint64, [3]int, [2]int) {
-			pl, meter := buildLedger(t, bench, policy, legacyLedger, func(c *Config) {
-				c.SetDepth(depth)
-				c.LegacyFrontEnd = legacyFront
-				c.LegacyScanIssue = legacyScan
-				c.StuckCycles = 20000
-			})
-			pl.Run(6000)
-			if err := pl.CheckInvariants(); err != nil {
-				t.Fatalf("trial %d legacyLedger=%v: %v", trial, legacyLedger, err)
-			}
-			allocs, reuses := pl.PoolStats()
-			leased, capacity, hw := pl.walker.CkptStats()
-			open, _, ehw := pl.EpochStats()
-			return pl.Stats, *meter, [2]uint64{allocs, reuses}, [3]int{leased, capacity, hw}, [2]int{open, ehw}
-		}
-		fStats, fMeter, fPool, fCkpt, fEpoch := run(false)
-		lStats, lMeter, lPool, lCkpt, lEpoch := run(true)
-		if fStats != lStats {
-			t.Errorf("trial %d (%s/%s/depth %d): stats diverged", trial, bench, policy.Name, depth)
-		}
-		if fMeter != lMeter {
-			t.Errorf("trial %d (%s/%s/depth %d): power attribution diverged:\n epoch:  events %v wasted %v\n legacy: events %v wasted %v",
-				trial, bench, policy.Name, depth, fMeter.Events, fMeter.Wasted, lMeter.Events, lMeter.Wasted)
-		}
-		if fPool != lPool || fCkpt != lCkpt {
-			t.Errorf("trial %d (%s/%s/depth %d): pool/checkpoint accounting diverged", trial, bench, policy.Name, depth)
-		}
-		if fEpoch != lEpoch {
-			t.Errorf("trial %d (%s/%s/depth %d): epoch accounting diverged: fast %v, legacy shadow %v",
-				trial, bench, policy.Name, depth, fEpoch, lEpoch)
-		}
-	}
-}
-
-// TestEpochInvariantsUnderStress steps flush-heavy shapes under both
-// attribution schemes, validating the epoch invariants (ring ordering,
-// per-instruction epoch bindings, and — in legacy mode — the exact
-// live-ledger cross-check against the per-instruction tables) every few
-// cycles, mid-flight rather than only at a drained run end.
+// TestEpochInvariantsUnderStress steps flush-heavy shapes, validating the
+// epoch invariants (ring ordering and per-instruction epoch bindings) and
+// the event conservation laws every few cycles, mid-flight rather than only
+// at a drained run end.
 func TestEpochInvariantsUnderStress(t *testing.T) {
 	c2 := core.Selective("c2",
 		core.Spec{Fetch: core.RateQuarter, NoSelect: true},
 		core.Spec{Fetch: core.RateStall})
-	for _, legacy := range []bool{false, true} {
-		for _, depth := range []int{6, 28} {
-			pl, _ := buildLedger(t, "go", c2, legacy, func(c *Config) { c.SetDepth(depth) })
-			for step := 0; step < 9000; step++ {
-				pl.Step()
-				if step%7 == 0 {
-					if err := pl.CheckInvariants(); err != nil {
-						t.Fatalf("legacy=%v depth=%d cycle %d: %v", legacy, depth, step, err)
-					}
+	for _, depth := range []int{6, 28} {
+		pl, _ := buildLedger(t, "go", c2, func(c *Config) { c.SetDepth(depth) })
+		for step := 0; step < 9000; step++ {
+			pl.Step()
+			if step%7 == 0 {
+				if err := checkConservation(pl); err != nil {
+					t.Fatalf("depth=%d cycle %d: %v", depth, step, err)
 				}
 			}
-			if pl.Stats.Committed == 0 {
-				t.Fatalf("legacy=%v depth=%d: no progress under stress", legacy, depth)
-			}
+		}
+		if pl.Stats.Committed == 0 {
+			t.Fatalf("depth=%d: no progress under stress", depth)
 		}
 	}
 }
@@ -138,57 +75,26 @@ func hasWrongPathInFlight(pl *Pipeline) bool {
 // TestWrongPathStragglersStayUseful pins the tail subtlety of the epoch
 // design: wrong-path instructions still in flight when a run drains were
 // never squashed, so their events must stay in the useful pool — epochs fold
-// at actual squash only, never eagerly on the WrongPath mark. Both
-// attribution schemes are driven to the same drain point, chosen so
-// wrong-path work is verifiably in flight there, and must report
-// bit-identical per-unit useful and wasted totals; the legacy run's
-// CheckInvariants additionally proves (via the exact live-ledger
-// cross-check) that the stragglers' events still sit in open epochs rather
-// than the wasted pool.
+// at actual squash only, never eagerly on the WrongPath mark. The run is
+// driven to a drain point chosen so wrong-path work is verifiably in flight
+// there, and the conservation laws must hold exactly at that point: the
+// wasted I-cache, rename and ALU counts equal the wrong-path totals minus
+// the stragglers, so a single straggler event folded early breaks them.
 func TestWrongPathStragglersStayUseful(t *testing.T) {
-	run := func(legacy bool) (*Pipeline, *power.Meter) {
-		pl, meter := buildLedger(t, "go", core.Baseline(), legacy, nil)
-		target := uint64(20000)
+	pl, _ := buildLedger(t, "go", core.Baseline(), nil)
+	target := uint64(20000)
+	pl.Run(target)
+	// Advance in small commit quanta until the drain point lands with
+	// wrong-path work in flight.
+	for tries := 0; tries < 4000 && !hasWrongPathInFlight(pl); tries++ {
+		target += 25
 		pl.Run(target)
-		// Advance in small commit quanta until the drain point lands with
-		// wrong-path work in flight. The instruction stream is deterministic
-		// and mode-independent, so both schemes stop at the same point.
-		for tries := 0; tries < 4000 && !hasWrongPathInFlight(pl); tries++ {
-			target += 25
-			pl.Run(target)
-		}
-		return pl, meter
 	}
-	fpl, fMeter := run(false)
-	lpl, lMeter := run(true)
-	if !hasWrongPathInFlight(fpl) || !hasWrongPathInFlight(lpl) {
+	if !hasWrongPathInFlight(pl) {
 		t.Fatal("drain point has no wrong-path stragglers; the tail case was not exercised")
 	}
-	if *fMeter != *lMeter {
-		t.Errorf("attribution diverged at a drain with wrong-path stragglers:\n epoch:  events %v wasted %v\n legacy: events %v wasted %v",
-			fMeter.Events, fMeter.Wasted, lMeter.Events, lMeter.Wasted)
-	}
-	if err := fpl.CheckInvariants(); err != nil {
-		t.Errorf("epoch mode: %v", err)
-	}
-	if err := lpl.CheckInvariants(); err != nil {
-		t.Errorf("legacy mode: %v", err)
-	}
-	// The stragglers carry events (at minimum their I-cache access), and
-	// those events must be in the total pool, not the wasted pool: wasted
-	// totals are identical to the reference, which by construction moves
-	// events only at squash.
-	straggler := false
-	for i := 0; i < lpl.window.Len() && !straggler; i++ {
-		in := lpl.window.At(i)
-		straggler = in.d.WrongPath && in.lev.mask != 0
-	}
-	for i := 0; i < lpl.frontQ.Len() && !straggler; i++ {
-		in := lpl.frontQ.At(i)
-		straggler = in.d.WrongPath && in.lev.mask != 0
-	}
-	if !straggler {
-		t.Error("no in-flight wrong-path instruction carries events; the useful-tail property was not exercised")
+	if err := checkConservation(pl); err != nil {
+		t.Errorf("drain with wrong-path stragglers: %v", err)
 	}
 }
 
@@ -197,7 +103,7 @@ func TestWrongPathStragglersStayUseful(t *testing.T) {
 // in-flight capacity, the open count and high-water mark stay within it
 // through squash-heavy runs, and Reset restores the single base epoch.
 func TestEpochRingFootprint(t *testing.T) {
-	pl, _ := buildLedger(t, "go", core.Baseline(), false, func(c *Config) { c.SetDepth(28) })
+	pl, _ := buildLedger(t, "go", core.Baseline(), func(c *Config) { c.SetDepth(28) })
 	pl.Run(30000)
 	open, capacity, hw := pl.EpochStats()
 	if wantCap := pl.fetchCap + pl.decodeCap + pl.cfg.WindowSize + 2; capacity != wantCap {

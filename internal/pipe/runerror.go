@@ -192,8 +192,8 @@ func (p *Pipeline) newRunError(kind RunErrorKind, cause error) *RunError {
 		Committed:  p.Stats.Committed,
 		Target:     p.runTarget,
 		Window:     p.window.Len(),
-		FetchQ:     p.frontFetchLen(),
-		DecodeQ:    p.frontDecodeLen(),
+		FetchQ:     p.fetchSegLen(),
+		DecodeQ:    p.decoded,
 		LSQ:        p.lsqUsed,
 		EpochOpen:  open,
 		EpochCap:   capacity,

@@ -45,8 +45,9 @@
 //     into blockMeta so Next reads flat arrays instead of chasing Block
 //     structures and a (block, index) map.
 //
-// The original implementation survives behind Walker.SetLegacy as the
-// reference the identity tests drive against the fast path.
+// Outcome keeps the float definition of the branch model; a test checks
+// the integer thresholds against it on every generated branch, and the
+// golden corpus (internal/sim) pins the walker's instruction stream.
 package prog
 
 // Profile describes one synthetic benchmark: the generation parameters plus

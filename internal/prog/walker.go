@@ -140,14 +140,6 @@ type Walker struct {
 	// caller's Steer call; Next panics if violated (harness bug).
 	pendingSteer bool
 
-	// legacy selects the retained reference implementation of Next: float
-	// outcome thresholds, per-Block chasing, and the memRef map instead of
-	// the integer thresholds and flat blockMeta tables. The two are
-	// bit-identical (identity tests drive them against each other); the
-	// legacy path survives for those tests, mirroring pipe.Config's
-	// LegacyScanIssue.
-	legacy bool
-
 	ckpts    []WalkState // checkpoint arena; handles index it
 	ckptFree []int32     // free slot handles
 	ckptHW   int         // high-water mark of concurrently leased slots
@@ -155,10 +147,9 @@ type Walker struct {
 	// Stable-reference address memo, one slot per Program.MemRefs entry. A
 	// stable (non-wild) site's address is a pure function of its seed and
 	// the 64-branch epoch (BrCount>>6), and sites typically execute many
-	// times per epoch, so the fast paths cache the last (epoch, address)
+	// times per epoch, so Next and NextGroup cache the last (epoch, address)
 	// pair per site instead of rehashing. Keys store epoch+1 so zero means
-	// empty; the memo is exact (same pure function, same inputs) and the
-	// legacy reference path deliberately keeps rehashing every time.
+	// empty; the memo is exact (same pure function, same inputs).
 	memoKey  []uint64
 	memoAddr []uint64
 }
@@ -175,9 +166,9 @@ func NewWalker(p *Program) *Walker {
 // generated Program is immutable during walks, so one decoded program can be
 // replayed by any number of resets without re-generation, and a pooled
 // walker can serve many runs without allocation: the checkpoint arena's
-// backing arrays (and the legacy-mode flag) survive the reset.
+// backing arrays survive the reset.
 func (w *Walker) Reset(p *Program) {
-	ckpts, free, legacy, hw := w.ckpts[:0], w.ckptFree[:0], w.legacy, w.ckptHW
+	ckpts, free, hw := w.ckpts[:0], w.ckptFree[:0], w.ckptHW
 	memoKey, memoAddr := w.memoKey, w.memoAddr
 	if n := len(p.MemRefs); cap(memoKey) < n {
 		memoKey = make([]uint64, n)
@@ -190,7 +181,6 @@ func (w *Walker) Reset(p *Program) {
 	*w = Walker{
 		prog:     p,
 		st:       WalkState{Block: p.Entry, Ghist: xrand.Hash64(p.Profile.Seed)},
-		legacy:   legacy,
 		ckpts:    ckpts,
 		ckptFree: free,
 		ckptHW:   hw,
@@ -198,10 +188,6 @@ func (w *Walker) Reset(p *Program) {
 		memoAddr: memoAddr,
 	}
 }
-
-// SetLegacy switches the walker between the fast path and the retained
-// reference implementation (see the legacy field). The flag survives Reset.
-func (w *Walker) SetLegacy(on bool) { w.legacy = on }
 
 // State returns a copy of the current walker state (for tests/diagnostics).
 func (w *Walker) State() WalkState { return w.st }
@@ -344,18 +330,14 @@ func (br *Branch) outcome(ghist, brCount uint64) bool {
 // *predicted* direction before calling Next again. All other control flow
 // steers itself.
 //
-// The fast path reads the program's flat blockMeta/code/memIDs tables and
-// the integer outcome thresholds; nextLegacy retains the original
-// implementation as the identity-test reference.
+// Next reads the program's flat blockMeta/code/memIDs tables and the
+// integer outcome thresholds (Branch.outcome, which agrees with the float
+// definition Outcome on every input).
 //
 //st:hotpath
 func (w *Walker) Next(out *DynInst) {
 	if w.pendingSteer {
 		panic("prog: Next called with a pending Steer")
-	}
-	if w.legacy {
-		w.nextLegacy(out)
-		return
 	}
 	p := w.prog
 	m := &p.meta[w.st.Block]
@@ -459,9 +441,9 @@ func (w *Walker) Next(out *DynInst) {
 //
 // The produced stream is bit-identical to the same number of Next calls (the
 // randomized fastpath tests pin this); batching exists so a fetch stage can
-// amortize the per-call overhead — the pending/legacy checks, the block
+// amortize the per-call overhead — the pending-steer check, the block
 // metadata loads, and the fall-through chase — over a whole straight-line
-// run, which is what makes fused fetch groups (internal/pipe) pay off.
+// run, which is what makes whole-group fetch (internal/pipe) pay off.
 //
 //st:hotpath
 func (w *Walker) NextGroup(out []DynInst) int {
@@ -470,18 +452,6 @@ func (w *Walker) NextGroup(out []DynInst) int {
 	}
 	if w.pendingSteer {
 		panic("prog: NextGroup called with a pending Steer")
-	}
-	if w.legacy {
-		// Reference form: one nextLegacy per slot, same stopping rule.
-		n := 0
-		for n < len(out) {
-			w.nextLegacy(&out[n])
-			n++
-			if out[n-1].St.Op.IsControl() {
-				break
-			}
-		}
-		return n
 	}
 	p := w.prog
 	m := &p.meta[w.st.Block]
@@ -585,84 +555,6 @@ func (w *Walker) chainFallThrough() {
 	}
 }
 
-// nextLegacy is the retained reference implementation of Next: float
-// outcome thresholds, Block-structure chasing, and the memRef map lookup.
-// Identity tests drive it against the fast path across every profile.
-func (w *Walker) nextLegacy(out *DynInst) {
-	blk := &w.prog.Blocks[w.st.Block]
-	for w.st.Index >= len(blk.Code) {
-		w.st.Block = blk.Succ[0]
-		w.st.Index = 0
-		blk = &w.prog.Blocks[w.st.Block]
-	}
-	idx := w.st.Index
-	st := blk.Code[idx]
-	out.Seq = w.seq
-	out.PC = blk.Base + uint64(idx)*InstBytes
-	out.St = st
-	out.BrID = NoBranch
-	out.Ckpt = NoCkpt
-	w.seq++
-	w.st.Index++
-
-	switch {
-	case st.Op == isa.OpBranch:
-		br := &w.prog.Branches[blk.BrID]
-		taken := Outcome(br, w.st.Ghist, w.st.BrCount)
-		w.st.BrCount++
-		out.BrID = int32(blk.BrID)
-		out.Taken = taken
-		out.TakenPC = w.prog.Blocks[blk.Succ[1]].Base
-		out.FallPC = w.prog.Blocks[blk.Succ[0]].Base
-		w.st.Ghist = w.st.Ghist<<1 | b2u(taken)
-		id := w.leaseCkpt()
-		w.saveCkpt(id)
-		out.Ckpt = id
-		w.pendingSteer = true
-	case st.Op == isa.OpJump:
-		out.TakenPC = w.prog.Blocks[blk.Succ[1]].Base
-		out.Taken = true
-		w.st.Block = blk.Succ[1]
-		w.st.Index = 0
-	case st.Op == isa.OpCall:
-		out.TakenPC = w.prog.Blocks[blk.Succ[1]].Base
-		out.FallPC = w.prog.Blocks[blk.Succ[0]].Base
-		out.Taken = true
-		w.st.push(blk.Succ[0])
-		w.st.Block = blk.Succ[1]
-		w.st.Index = 0
-	case st.Op == isa.OpReturn:
-		target, ok := w.st.pop()
-		if !ok {
-			target = w.prog.Entry
-		}
-		out.TakenPC = w.prog.Blocks[target].Base
-		out.Taken = true
-		w.st.Block = target
-		w.st.Index = 0
-	case st.Op.IsMem():
-		if m, ok := w.prog.memRef(w.st.Block, idx); ok {
-			if m.Wild {
-				out.Addr = m.Base + xrand.Hash3(m.Seed, w.st.Ghist, w.st.BrCount)%m.Span&^7
-			} else {
-				out.Addr = m.Base + xrand.Hash2(m.Seed, w.st.BrCount>>6)%m.Span&^7
-			}
-		}
-	}
-
-	if !w.pendingSteer {
-		blk = &w.prog.Blocks[w.st.Block]
-		for w.st.Index >= len(blk.Code) && blk.Terminator() == isa.OpNop {
-			if blk.Succ[0] == NoBlock {
-				break
-			}
-			w.st.Block = blk.Succ[0]
-			w.st.Index = 0
-			blk = &w.prog.Blocks[w.st.Block]
-		}
-	}
-}
-
 // Steer resolves a pending conditional branch with the direction the front
 // end *predicts* (which may be wrong — the walker then produces the wrong
 // path until Recover is called).
@@ -700,18 +592,6 @@ func (w *Walker) Recover(d *DynInst) {
 // NextPC reports the PC the walker will fetch next (for I-cache access
 // grouping). It resolves pending fall-through chains conservatively.
 func (w *Walker) NextPC() uint64 {
-	if w.legacy {
-		blk := &w.prog.Blocks[w.st.Block]
-		idx := w.st.Index
-		for idx >= len(blk.Code) {
-			if blk.Succ[0] == NoBlock {
-				return blk.Base
-			}
-			blk = &w.prog.Blocks[blk.Succ[0]]
-			idx = 0
-		}
-		return blk.Base + uint64(idx)*InstBytes
-	}
 	m := &w.prog.meta[w.st.Block]
 	idx := w.st.Index
 	for idx >= int(m.n) {

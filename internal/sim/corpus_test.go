@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -35,26 +34,11 @@ import (
 
 const corpusPath = "testdata/corpus.txt"
 
-// twinMode selects the retained reference implementation of each rewritten
-// pipeline stage. Every combination must reproduce the corpus.
-type twinMode struct{ scan, front, ledger, walk bool }
-
-func (m twinMode) String() string {
-	return fmt.Sprintf("scan=%v front=%v ledger=%v walk=%v", m.scan, m.front, m.ledger, m.walk)
-}
-
-func (m twinMode) apply(c *Config) {
-	c.Pipe.LegacyScanIssue = m.scan
-	c.Pipe.LegacyFrontEnd = m.front
-	c.Pipe.LegacyEventLedger = m.ledger
-	c.LegacyWalk = m.walk
-}
-
 // corpusCell is one named corpus entry; run writes the cell's integers into
 // h and returns an error for a failed internal check.
 type corpusCell struct {
 	name string
-	run  func(r *Runner, m twinMode, h hash.Hash) error
+	run  func(r *Runner, h hash.Hash) error
 }
 
 // writeInts feeds fixed-size integer values (or structs of them) to h in
@@ -84,14 +68,12 @@ func writeMeter(h hash.Hash, m *power.Meter) error {
 // simCell runs cfg on the named profile through a Runner and digests the
 // measured statistics and the meter's totals.
 func simCell(name, bench string, cfg Config) corpusCell {
-	return corpusCell{name, func(r *Runner, m twinMode, h hash.Hash) error {
+	return corpusCell{name, func(r *Runner, h hash.Hash) error {
 		p, ok := prog.ProfileByName(bench)
 		if !ok {
 			return fmt.Errorf("unknown profile %q", bench)
 		}
-		c := cfg
-		m.apply(&c)
-		res := r.Run(c, p)
+		res := r.Run(cfg, p)
 		writeInts(h, res.Stats)
 		return writeMeter(h, r.meter)
 	}}
@@ -165,14 +147,13 @@ func pipePolicy(name string) core.Policy {
 // meter, and the pool, checkpoint-arena and epoch-ring accounting.
 func pipeCell(bench, policyName string, depth int) corpusCell {
 	name := fmt.Sprintf("pipe/%s/%s/d%d", bench, policyName, depth)
-	return corpusCell{name, func(_ *Runner, m twinMode, h hash.Hash) error {
+	return corpusCell{name, func(_ *Runner, h hash.Hash) error {
 		p, ok := prog.ProfileByName(bench)
 		if !ok {
 			return fmt.Errorf("unknown profile %q", bench)
 		}
 		policy := pipePolicy(policyName)
-		w := prog.NewWalker(prog.Generate(p))
-		w.SetLegacy(m.walk)
+		w := prog.NewWalker(getProgram(p))
 		est := conf.Estimator(conf.NewBPRU(4 << 10))
 		if policy.Gating {
 			est = conf.NewJRS(4<<10, 12)
@@ -180,11 +161,8 @@ func pipeCell(bench, policyName string, depth int) corpusCell {
 		cfg := pipe.Default()
 		cfg.SetDepth(depth)
 		cfg.StuckCycles = 20000
-		var sc Config
-		sc.Pipe = cfg
-		m.apply(&sc)
 		meter := &power.Meter{}
-		pl := pipe.New(sc.Pipe, w, bpred.NewGshare(8<<10), est, core.NewController(policy), meter)
+		pl := pipe.New(cfg, w, bpred.NewGshare(8<<10), est, core.NewController(policy), meter)
 		st, err := pl.RunE(6000)
 		if err != nil {
 			return err
@@ -207,13 +185,12 @@ func pipeCell(bench, policyName string, depth int) corpusCell {
 // digests every produced instruction, the NextPC after each, and the final
 // checkpoint-arena statistics.
 func walkCell(bench string) corpusCell {
-	return corpusCell{"walk/" + bench, func(_ *Runner, m twinMode, h hash.Hash) error {
+	return corpusCell{"walk/" + bench, func(_ *Runner, h hash.Hash) error {
 		p, ok := prog.ProfileByName(bench)
 		if !ok {
 			return fmt.Errorf("unknown profile %q", bench)
 		}
-		w := prog.NewWalker(prog.Generate(p))
-		w.SetLegacy(m.walk)
+		w := prog.NewWalker(getProgram(p))
 		rng := xrand.New(0xF00D ^ p.Seed)
 		var d prog.DynInst
 		step := func() {
@@ -291,20 +268,20 @@ func corpusCells() []corpusCell {
 	return cells
 }
 
-// renderCorpus runs every cell under mode and returns the corpus file text.
-func renderCorpus(t *testing.T, cells []corpusCell, mode twinMode) string {
+// renderCorpus runs every cell and returns the corpus file text.
+func renderCorpus(t *testing.T, cells []corpusCell) string {
 	t.Helper()
 	digests := make([]string, len(cells))
 	errs := make([]error, len(cells))
 	runJobs(len(cells), func(r *Runner, i int) {
 		h := sha256.New()
-		errs[i] = cells[i].run(r, mode, h)
+		errs[i] = cells[i].run(r, h)
 		digests[i] = hex.EncodeToString(h.Sum(nil))
 	})
 	var b strings.Builder
 	for i, c := range cells {
 		if errs[i] != nil {
-			t.Errorf("%s (%v): %v", c.name, mode, errs[i])
+			t.Errorf("%s: %v", c.name, errs[i])
 		}
 		fmt.Fprintf(&b, "%s %s\n", c.name, digests[i])
 	}
@@ -328,23 +305,19 @@ func TestGoldenCorpus(t *testing.T) {
 		t.Fatalf("read corpus: %v", err)
 	}
 	cells := corpusCells()
-	wantSums := parseCorpus(string(want))
-	for i := 0; i < 16; i++ {
-		mode := twinMode{scan: i&1 != 0, front: i&2 != 0, ledger: i&4 != 0, walk: i&8 != 0}
-		got := renderCorpus(t, cells, mode)
-		if bytes.Equal([]byte(got), want) {
-			continue
-		}
-		gotSums := parseCorpus(got)
-		for _, c := range cells {
-			if gotSums[c.name] != wantSums[c.name] {
-				t.Errorf("%s (%v): digest %s, corpus has %q", c.name, mode, gotSums[c.name], wantSums[c.name])
-			}
-		}
-		if len(gotSums) != len(wantSums) {
-			t.Errorf("corpus lists %d cells, the test defines %d", len(wantSums), len(gotSums))
-		}
-		t.Fatalf("%s does not match (%v); if the model change is intended, commit this regenerated file:\n%s",
-			corpusPath, mode, got)
+	got := renderCorpus(t, cells)
+	if got == string(want) {
+		return
 	}
+	wantSums, gotSums := parseCorpus(string(want)), parseCorpus(got)
+	for _, c := range cells {
+		if gotSums[c.name] != wantSums[c.name] {
+			t.Errorf("%s: digest %s, corpus has %q", c.name, gotSums[c.name], wantSums[c.name])
+		}
+	}
+	if len(gotSums) != len(wantSums) {
+		t.Errorf("corpus lists %d cells, the test defines %d", len(wantSums), len(gotSums))
+	}
+	t.Fatalf("%s does not match; if the model change is intended, commit this regenerated file:\n%s",
+		corpusPath, got)
 }

@@ -105,7 +105,7 @@ func TestPointKeyRejectsFaultHook(t *testing.T) {
 // under the old rules go cold instead of being misread), then update the
 // pin.
 func TestPointKeyGolden(t *testing.T) {
-	const want = "9150f9630d1f342750e051bbc1b8b11d0f3583cb9a7ff6cd7c8abc5f79b38a14"
+	const want = "0f19f6e988bc4719bca4b78a864b1aa499293ef5f3f081aa997371c92ce3380c"
 	if got := PointKey(Default(), prog.Profiles()[0]).String(); got != want {
 		t.Fatalf("PointKey(Default(), %s) = %s, want %s (schema %s)", prog.Profiles()[0].Name, got, want, diskKeySchema)
 	}

@@ -19,21 +19,27 @@ type Options struct {
 	ConfBytes    int // 0 = 8 KB
 	Profiles     []prog.Profile
 
-	// LegacyFrontEnd runs every simulation on the two-ring reference front
-	// end instead of the fused delay line (diagnostics; output must be
-	// byte-identical — the identity tests and the commands' flag exist to
-	// prove exactly that).
-	LegacyFrontEnd bool
-
-	// LegacyEventLedger runs every simulation on the per-instruction power
-	// attribution reference instead of the epoch ledgers (diagnostics;
-	// output must be byte-identical, like LegacyFrontEnd).
-	LegacyEventLedger bool
-
 	// Supervise is the per-point run policy (deadline, retries, fault
 	// hooks). The zero value isolates failures without deadlines or
 	// retries; healthy grids behave identically with or without it.
 	Supervise Supervisor
+}
+
+// CheckDepthKB validates a requested pipeline depth (stages, fetch to
+// commit) and total predictor+estimator budget (KB, split half and half)
+// against the ranges hpca03, stserve and the fleet accept: 6 to 64 stages
+// and 1 to 1024 KB. Below them a run would silently simulate something
+// else: pipe.Config.SetDepth clamps shallower pipes to 6 stages, and a
+// budget under 1 KB leaves the predictor and estimator at their minimum
+// tables.
+func CheckDepthKB(depth, kb int) error {
+	if depth < 6 || depth > 64 {
+		return fmt.Errorf("bad depth %d (want 6..64)", depth)
+	}
+	if kb < 1 || kb > 1024 {
+		return fmt.Errorf("bad kb %d (want 1..1024)", kb)
+	}
+	return nil
 }
 
 // withDefaults fills unset options with paper-baseline values.
@@ -70,8 +76,6 @@ func (o Options) BaseConfig() Config {
 func (o Options) baseConfig() Config {
 	cfg := Default()
 	cfg.Pipe.SetDepth(o.Depth)
-	cfg.Pipe.LegacyFrontEnd = o.LegacyFrontEnd
-	cfg.Pipe.LegacyEventLedger = o.LegacyEventLedger
 	cfg.PredBytes = o.PredBytes
 	cfg.ConfBytes = o.ConfBytes
 	cfg.Instructions = o.Instructions

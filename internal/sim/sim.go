@@ -74,13 +74,6 @@ type Config struct {
 
 	Instructions uint64 // measured instructions
 	Warmup       uint64 // instructions run before measurement starts
-
-	// LegacyWalk selects the workload walker's retained reference
-	// implementation (float outcome thresholds, embedded block chasing)
-	// instead of the integer-threshold/blockMeta fast path. The two are
-	// bit-identical; the flag exists for the identity regression tests,
-	// mirroring Pipe.LegacyScanIssue.
-	LegacyWalk bool
 }
 
 // Default returns the paper's baseline configuration: Table 3, 14 stages,
@@ -186,7 +179,6 @@ func (r *Runner) RunE(ctx context.Context, cfg Config, profile prog.Profile) (re
 	} else {
 		r.walker.Reset(program)
 	}
-	r.walker.SetLegacy(cfg.LegacyWalk)
 	if r.pred == nil || r.predBytes != cfg.PredBytes {
 		r.pred, r.predBytes = bpred.NewGshare(cfg.PredBytes), cfg.PredBytes
 	} else {

@@ -218,3 +218,26 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal("default warmup should be a quarter of the measured window")
 	}
 }
+
+// TestCheckDepthKB pins the modelled ranges at their edges: 6 to 64 stages
+// and 1 to 1024 KB.
+func TestCheckDepthKB(t *testing.T) {
+	for _, tc := range []struct {
+		depth, kb int
+		ok        bool
+	}{
+		{5, 16, false},
+		{6, 16, true},
+		{64, 16, true},
+		{65, 16, false},
+		{14, -4, false},
+		{14, 0, false},
+		{14, 1, true},
+		{14, 1024, true},
+		{14, 1025, false},
+	} {
+		if err := CheckDepthKB(tc.depth, tc.kb); (err == nil) != tc.ok {
+			t.Errorf("CheckDepthKB(%d, %d) = %v, want ok=%v", tc.depth, tc.kb, err, tc.ok)
+		}
+	}
+}
