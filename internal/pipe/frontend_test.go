@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"selthrottle/internal/core"
+	"selthrottle/internal/xrand"
 )
 
 // TestFetchBackPressureUsesActualCapacity is the regression test for the
@@ -38,5 +39,27 @@ func TestFetchBackPressureUsesActualCapacity(t *testing.T) {
 	}
 	if wantIdle == 0 {
 		t.Error("test never reached back-pressure")
+	}
+}
+
+// TestFusedSquashAccountingMatchesLegacy is the randomized squash-ordering
+// net: random profiles, throttling policies and depths, with mispredictions
+// landing while groups straddle the fetch/decode boundary. The full
+// statistics plus the pool and checkpoint-arena accounting must equal the
+// retired two-ring front end's, which the golden corpus holds as each
+// trial's digest. A squash-order divergence shows up immediately in the
+// checkpoint free list (handles are recycled LIFO, so order changes handle
+// assignment and the arena high-water) and in the per-unit wasted-power
+// totals.
+func TestFusedSquashAccountingMatchesLegacy(t *testing.T) {
+	want := loadCorpus(t)
+	rng := xrand.New(0x5005)
+	for trial := 0; trial < 12; trial++ {
+		bench := squashProfiles[rng.Intn(len(squashProfiles))]
+		policy := rng.Intn(len(squashPolicies))
+		depth := 6 + 2*rng.Intn(12)
+		if _, name, sum := runSquashCell(t, bench, policy, depth); sum != want[name] {
+			t.Errorf("trial %d (%s): digest %s, corpus has %q", trial, name, sum, want[name])
+		}
 	}
 }

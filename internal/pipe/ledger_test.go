@@ -8,6 +8,7 @@ import (
 	"selthrottle/internal/core"
 	"selthrottle/internal/power"
 	"selthrottle/internal/prog"
+	"selthrottle/internal/xrand"
 )
 
 // buildLedger constructs a pipeline over a named profile with an explicit
@@ -30,6 +31,36 @@ func buildLedger(t testing.TB, bench string, policy core.Policy, shape func(*Con
 	}
 	meter := &power.Meter{}
 	return New(cfg, w, bpred.NewGshare(8<<10), est, core.NewController(policy), meter), meter
+}
+
+// TestEpochLedgerMatchesLegacyRandomized is the randomized attribution net:
+// random profiles, policies and depths are run, and the full statistics,
+// the meter's per-unit useful and wasted totals, and the pool, checkpoint
+// and epoch accounting must equal the retired per-instruction ledger's,
+// which the golden corpus holds as each trial's digest; the drained machine
+// must also satisfy the exact conservation laws. A fold that gains or loses
+// a single event — an epoch folded too eagerly (e.g. on the WrongPath mark),
+// folded twice, or retired with a member still in flight — diverges
+// immediately in the per-unit wasted totals.
+func TestEpochLedgerMatchesLegacyRandomized(t *testing.T) {
+	want := loadCorpus(t)
+	rng := xrand.New(0xE90C)
+	for trial := 0; trial < 12; trial++ {
+		bench := squashProfiles[rng.Intn(len(squashProfiles))]
+		policy := rng.Intn(len(squashPolicies))
+		depth := 6 + 2*rng.Intn(12)
+		// The trials also drew the retired front-end and issue
+		// implementations; the draws stay so each trial keeps its cell.
+		rng.Intn(2)
+		rng.Intn(4)
+		pl, name, sum := runSquashCell(t, bench, policy, depth)
+		if sum != want[name] {
+			t.Errorf("trial %d (%s): digest %s, corpus has %q", trial, name, sum, want[name])
+		}
+		if err := checkConservation(pl); err != nil {
+			t.Errorf("trial %d (%s): %v", trial, name, err)
+		}
+	}
 }
 
 // TestEpochInvariantsUnderStress steps flush-heavy shapes, validating the

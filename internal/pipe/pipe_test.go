@@ -118,6 +118,32 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+func TestCommittedStreamIdenticalAcrossPolicies(t *testing.T) {
+	// Throttling changes timing, never architecture: the committed PC
+	// stream must be byte-identical between baseline and any policy.
+	capture := func(policy core.Policy) []uint64 {
+		pl := build(t, "gzip", policy, nil, core.OracleNone)
+		var pcs []uint64
+		pl.CommitTrace = func(seq, pc uint64, cycle int64) {
+			pcs = append(pcs, pc)
+		}
+		pl.Run(15000)
+		return pcs
+	}
+	base := capture(core.Baseline())
+	thr := capture(core.Selective("t",
+		core.Spec{Fetch: core.RateQuarter, NoSelect: true},
+		core.Spec{Fetch: core.RateStall}))
+	if len(base) != len(thr) {
+		t.Fatalf("stream lengths differ: %d vs %d", len(base), len(thr))
+	}
+	for i := range base {
+		if base[i] != thr[i] {
+			t.Fatalf("committed stream diverged at %d: %#x vs %#x", i, base[i], thr[i])
+		}
+	}
+}
+
 func TestThrottlingReducesFetchTraffic(t *testing.T) {
 	base := build(t, "go", core.Baseline(), nil, core.OracleNone).Run(20000)
 	thr := build(t, "go", core.Selective("t",
@@ -128,6 +154,58 @@ func TestThrottlingReducesFetchTraffic(t *testing.T) {
 	}
 	if thr.FetchGatedCycles == 0 {
 		t.Fatal("no gated cycles recorded")
+	}
+}
+
+func TestOracleFetchSuppressesWrongPath(t *testing.T) {
+	stats := build(t, "go", core.Baseline(), nil, core.OracleFetch).Run(20000)
+	if stats.WrongPathFetched != 0 {
+		t.Fatalf("oracle fetch fetched %d wrong-path instructions", stats.WrongPathFetched)
+	}
+	base := build(t, "go", core.Baseline(), nil, core.OracleNone).Run(20000)
+	if base.WrongPathFetched == 0 {
+		t.Fatal("baseline fetched no wrong-path instructions")
+	}
+}
+
+func TestOracleDecodeSuppressesWrongPathDecode(t *testing.T) {
+	stats := build(t, "go", core.Baseline(), nil, core.OracleDecode).Run(20000)
+	if stats.WrongPathDecoded != 0 {
+		t.Fatalf("oracle decode decoded %d wrong-path instructions", stats.WrongPathDecoded)
+	}
+	if stats.WrongPathFetched == 0 {
+		t.Fatal("oracle decode should still fetch the wrong path")
+	}
+}
+
+func TestOracleSelectSuppressesWrongPathIssue(t *testing.T) {
+	stats := build(t, "go", core.Baseline(), nil, core.OracleSelect).Run(20000)
+	if stats.WrongPathIssued != 0 {
+		t.Fatalf("oracle select issued %d wrong-path instructions", stats.WrongPathIssued)
+	}
+	if stats.WrongPathDispatched == 0 {
+		t.Fatal("oracle select should still dispatch the wrong path")
+	}
+}
+
+func TestPowerAttributionConsistency(t *testing.T) {
+	p, _ := prog.ProfileByName("twolf")
+	program := prog.Generate(p)
+	w := prog.NewWalker(program)
+	meter := &power.Meter{}
+	pl := New(Default(), w, bpred.NewGshare(8<<10), conf.NewBPRU(8<<10),
+		core.NewController(core.Baseline()), meter)
+	pl.Run(20000)
+	for u := power.Unit(0); u < power.NumUnits; u++ {
+		if meter.Wasted[u] > meter.Events[u] {
+			t.Fatalf("unit %v: wasted %v > total %v", u, meter.Wasted[u], meter.Events[u])
+		}
+	}
+	if meter.Cycles != pl.Stats.Cycles {
+		t.Fatal("meter and stats disagree on cycles")
+	}
+	if meter.Events[power.UnitICache] < float64(pl.Stats.Fetched) {
+		t.Fatal("icache events fewer than fetched instructions")
 	}
 }
 

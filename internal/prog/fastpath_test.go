@@ -1,6 +1,11 @@
 package prog
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -62,6 +67,97 @@ func TestIntegerOutcomeMatchesFloat(t *testing.T) {
 						p.Name, bi, got, want, g, c)
 				}
 			}
+		}
+	}
+}
+
+// corpusPath is the golden corpus of the simulator's fast paths; its
+// "walk/<profile>" cells are the seeded walker drives below.
+const corpusPath = "../sim/testdata/corpus.txt"
+
+// TestFastWalkerMatchesLegacy is the randomized end-to-end identity test of
+// the walker: it is driven with seeded (sometimes wrong) steering, bounded
+// wrong-path excursions and checkpoint recoveries. Every branch outcome must
+// follow the float definition Outcome, and the digest of every produced
+// DynInst and NextPC, with the final checkpoint-arena statistics, must equal
+// the retired reference walker's (float thresholds, Block chasing, memRef
+// map), which the golden corpus holds as the profile's walk cell — the same
+// digest internal/sim's walkCell computes. Afterwards the checkpoint arena
+// must be fully drained (the leak check at walker level).
+func TestFastWalkerMatchesLegacy(t *testing.T) {
+	text, err := os.ReadFile(corpusPath)
+	if err != nil {
+		t.Fatalf("read corpus: %v", err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		if name, sum, ok := strings.Cut(line, " "); ok {
+			want[name] = sum
+		}
+	}
+	for _, p := range Profiles() {
+		program := Generate(p)
+		w := NewWalker(program)
+		rng := xrand.New(0xF00D ^ p.Seed)
+		h := sha256.New()
+		write := func(v any) {
+			if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var d DynInst
+		step := func(i int) {
+			s := w.State()
+			d = DynInst{}
+			w.Next(&d)
+			write(d)
+			write(w.NextPC())
+			if d.BrID != NoBranch {
+				if want := Outcome(&program.Branches[d.BrID], s.Ghist, s.BrCount); d.Taken != want {
+					t.Fatalf("%s: branch %d at %d taken=%v, Outcome says %v", p.Name, d.BrID, i, d.Taken, want)
+				}
+			}
+		}
+		for i := 0; i < 12000; i++ {
+			step(i)
+			if d.BrID == NoBranch {
+				continue
+			}
+			pred := d.Taken
+			if rng.Bool(0.2) {
+				pred = !pred
+			}
+			w.Steer(pred)
+			if pred == d.Taken {
+				w.Release(&d)
+				continue
+			}
+			// Wrong path: walk a bounded excursion, then recover from the
+			// mispredicted branch's checkpoint.
+			br := d
+			for k := rng.Intn(30); k > 0; k-- {
+				step(i)
+				if d.BrID != NoBranch {
+					w.Steer(d.Taken)
+					w.Release(&d)
+				}
+			}
+			w.Recover(&br)
+		}
+		leased, capacity, hw := w.CkptStats()
+		write([3]int64{int64(leased), int64(capacity), int64(hw)})
+		name := "walk/" + p.Name
+		if sum := hex.EncodeToString(h.Sum(nil)); sum != want[name] {
+			t.Errorf("%s: digest %s, corpus has %q", name, sum, want[name])
+		}
+		if leased != 0 {
+			t.Errorf("%s: %d checkpoint leases leaked", p.Name, leased)
+		}
+		if hw > 4 {
+			t.Errorf("%s: checkpoint high-water %d, at most 2 branches are ever outstanding here", p.Name, hw)
+		}
+		if capacity > hw {
+			t.Errorf("%s: arena capacity %d exceeds high-water %d", p.Name, capacity, hw)
 		}
 	}
 }

@@ -1,354 +1,133 @@
 package sim
 
 import (
+	"os"
+	"strings"
 	"testing"
-
-	"selthrottle/internal/core"
-	"selthrottle/internal/prog"
 )
 
-// The event-driven issue stage must be indistinguishable from the legacy
-// full-window scan it replaced: same issue order, same statistics (including
-// NoSelectStalls, which counts against the scan's early-exit point), same
-// power accounting, same cache state evolution. Result is comparable, so ==
-// is a bit-level check across all of it. Runs bypass the result cache (each
-// goes to a dedicated Runner).
+// The tests in this file once ran each of their cells twice, on the fast
+// path and on a retained reference implementation — the full-window scan
+// issue stage, the two-ring front end, the per-instruction power ledger or
+// the float-threshold walker — and required bit-identical results. The
+// references are retired. Before their deletion every combination of them
+// reproduced testdata/corpus.txt, so the corpus digests are the references'
+// results: each test keeps its cells and requires the fast path to
+// reproduce those digests.
 
-// runWithIssueMode executes cfg/profile with the chosen issue
-// implementation and strips the mode flag from the result's Config so the
-// two modes compare equal on everything observable.
-func runWithIssueMode(cfg Config, p prog.Profile, legacy bool) Result {
-	cfg.Pipe.LegacyScanIssue = legacy
-	res := NewRunner().Run(cfg, p)
-	res.Config.Pipe.LegacyScanIssue = false
-	return res
-}
-
-// identityPolicies are the experiment shapes that exercise every issue-stage
-// code path: plain selection, no-select barriers (stall accounting), decode
-// and fetch throttling interplay, gating, and the oracle-select suppression.
-func identityPolicies() []Experiment {
-	c2 := BestExperiment()
-	b5, _ := ExperimentByID("B5")
-	return []Experiment{
-		{ID: "baseline", Policy: core.Baseline(), Estimator: EstBPRU},
-		c2,
-		b5,
-		pipelineGating("PG"),
-		{ID: "oracle-select", Policy: core.Baseline(), Estimator: EstBPRU, Oracle: core.OracleSelect},
-		{ID: "oracle-fetch", Policy: core.Baseline(), Estimator: EstBPRU, Oracle: core.OracleFetch},
+// checkCorpusCells runs the corpus cells whose names keep accepts and
+// requires each to reproduce its digest in testdata/corpus.txt.
+func checkCorpusCells(t *testing.T, keep func(name string) bool) {
+	t.Helper()
+	text, err := os.ReadFile(corpusPath)
+	if err != nil {
+		t.Fatalf("read corpus: %v", err)
+	}
+	var cells []corpusCell
+	for _, c := range corpusCells() {
+		if keep(c.name) {
+			cells = append(cells, c)
+		}
+	}
+	if len(cells) == 0 {
+		t.Fatal("no corpus cell selected")
+	}
+	want, got := parseCorpus(string(text)), parseCorpus(renderCorpus(t, cells))
+	for _, c := range cells {
+		if got[c.name] != want[c.name] {
+			t.Errorf("%s: digest %s, corpus has %q", c.name, got[c.name], want[c.name])
+		}
 	}
 }
+
+// cellPrefix selects the corpus cells whose names start with prefix.
+func cellPrefix(prefix string) func(string) bool {
+	return func(name string) bool { return strings.HasPrefix(name, prefix) }
+}
+
+// cellNames selects the named corpus cells.
+func cellNames(names ...string) func(string) bool {
+	return func(name string) bool {
+		for _, n := range names {
+			if name == n {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// Every profile under the plain baseline and C2's no-select barriers, the
+// two policies that stress the issue stage hardest.
 
 func TestEventIssueMatchesScanAllProfiles(t *testing.T) {
-	// Every profile under the two policies that stress the issue stage the
-	// hardest: the plain baseline and C2's no-select barriers.
-	cfg := Default()
-	cfg.Instructions = 12000
-	cfg.Warmup = 3000
-	c2 := BestExperiment()
-	for _, p := range prog.Profiles() {
-		for _, e := range []Experiment{{ID: "baseline", Policy: core.Baseline(), Estimator: EstBPRU}, c2} {
-			ecfg := e.Apply(cfg)
-			if got, want := runWithIssueMode(ecfg, p, false), runWithIssueMode(ecfg, p, true); got != want {
-				t.Errorf("%s/%s: event-driven issue diverged from scan reference", p.Name, e.ID)
-			}
-		}
-	}
+	checkCorpusCells(t, cellPrefix("profile/"))
 }
-
-func TestEventIssueMatchesScanAllPolicies(t *testing.T) {
-	cfg := Default()
-	cfg.Instructions = 10000
-	cfg.Warmup = 2500
-	for _, name := range []string{"go", "gzip", "twolf"} {
-		p, _ := prog.ProfileByName(name)
-		for _, e := range identityPolicies() {
-			ecfg := e.Apply(cfg)
-			if got, want := runWithIssueMode(ecfg, p, false), runWithIssueMode(ecfg, p, true); got != want {
-				t.Errorf("%s/%s: event-driven issue diverged from scan reference", name, e.ID)
-			}
-		}
-	}
-}
-
-// runWithWalkMode executes cfg/profile with the chosen walker
-// implementation and strips the mode flag from the result's Config so the
-// two modes compare equal on everything observable.
-func runWithWalkMode(cfg Config, p prog.Profile, legacy bool) Result {
-	cfg.LegacyWalk = legacy
-	res := NewRunner().Run(cfg, p)
-	res.Config.LegacyWalk = false
-	return res
-}
-
-// The walker fast path (integer outcome thresholds, blockMeta tables,
-// arena-indirected checkpoints) must be indistinguishable from the retained
-// legacy reference across full simulations: identical statistics, power
-// accounting, and cache evolution. Result is comparable, so == is a
-// bit-level check across all of it.
 
 func TestFastWalkMatchesLegacyAllProfiles(t *testing.T) {
-	cfg := Default()
-	cfg.Instructions = 12000
-	cfg.Warmup = 3000
-	c2 := BestExperiment()
-	for _, p := range prog.Profiles() {
-		for _, e := range []Experiment{{ID: "baseline", Policy: core.Baseline(), Estimator: EstBPRU}, c2} {
-			ecfg := e.Apply(cfg)
-			if got, want := runWithWalkMode(ecfg, p, false), runWithWalkMode(ecfg, p, true); got != want {
-				t.Errorf("%s/%s: walker fast path diverged from legacy reference", p.Name, e.ID)
-			}
-		}
-	}
+	checkCorpusCells(t, cellPrefix("profile/"))
+}
+
+func TestFusedFrontEndMatchesLegacyAllProfiles(t *testing.T) {
+	checkCorpusCells(t, cellPrefix("profile/"))
+}
+
+func TestEpochLedgerMatchesLegacyAllProfiles(t *testing.T) {
+	checkCorpusCells(t, cellPrefix("profile/"))
+}
+
+// go, gzip and twolf under every corpus policy shape.
+
+func TestEventIssueMatchesScanAllPolicies(t *testing.T) {
+	checkCorpusCells(t, cellPrefix("policy/"))
 }
 
 func TestFastWalkMatchesLegacyAllPolicies(t *testing.T) {
-	cfg := Default()
-	cfg.Instructions = 10000
-	cfg.Warmup = 2500
-	for _, name := range []string{"go", "gzip", "twolf"} {
-		p, _ := prog.ProfileByName(name)
-		for _, e := range identityPolicies() {
-			ecfg := e.Apply(cfg)
-			if got, want := runWithWalkMode(ecfg, p, false), runWithWalkMode(ecfg, p, true); got != want {
-				t.Errorf("%s/%s: walker fast path diverged from legacy reference", name, e.ID)
-			}
-		}
-	}
-}
-
-// runWithFrontEndMode executes cfg/profile with the chosen front-end
-// implementation and strips the mode flag from the result's Config so the
-// two modes compare equal on everything observable.
-func runWithFrontEndMode(cfg Config, p prog.Profile, legacy bool) Result {
-	cfg.Pipe.LegacyFrontEnd = legacy
-	res := NewRunner().Run(cfg, p)
-	res.Config.Pipe.LegacyFrontEnd = false
-	return res
-}
-
-// The fused front-end delay line (batched fetch groups, cursor-advanced
-// decode/dispatch) must be indistinguishable from the two-ring reference it
-// replaced: same instruction stream, same back-pressure and idle accounting,
-// same squash order (observable through the wasted-power accumulation
-// order), same cache and predictor evolution. Result is comparable, so == is
-// a bit-level check across all of it.
-
-func TestFusedFrontEndMatchesLegacyAllProfiles(t *testing.T) {
-	cfg := Default()
-	cfg.Instructions = 12000
-	cfg.Warmup = 3000
-	c2 := BestExperiment()
-	for _, p := range prog.Profiles() {
-		for _, e := range []Experiment{{ID: "baseline", Policy: core.Baseline(), Estimator: EstBPRU}, c2} {
-			ecfg := e.Apply(cfg)
-			if got, want := runWithFrontEndMode(ecfg, p, false), runWithFrontEndMode(ecfg, p, true); got != want {
-				t.Errorf("%s/%s: fused front end diverged from two-ring reference", p.Name, e.ID)
-			}
-		}
-	}
+	checkCorpusCells(t, cellPrefix("policy/"))
 }
 
 func TestFusedFrontEndMatchesLegacyAllPolicies(t *testing.T) {
-	cfg := Default()
-	cfg.Instructions = 10000
-	cfg.Warmup = 2500
-	for _, name := range []string{"go", "gzip", "twolf"} {
-		p, _ := prog.ProfileByName(name)
-		for _, e := range identityPolicies() {
-			ecfg := e.Apply(cfg)
-			if got, want := runWithFrontEndMode(ecfg, p, false), runWithFrontEndMode(ecfg, p, true); got != want {
-				t.Errorf("%s/%s: fused front end diverged from two-ring reference", name, e.ID)
-			}
-		}
-	}
-}
-
-func TestFusedFrontEndMatchesLegacyStressShapes(t *testing.T) {
-	// Structural corner cases for the front end: minimum and maximum pipe
-	// depths (1-stage and 12-stage fetch/decode pipes), narrow fetch with
-	// wide decode and vice versa (groups straddling the decode boundary for
-	// many cycles), single-taken-per-cycle truncation (short groups), a tiny
-	// window (constant back-pressure into the delay line), and a decode
-	// width below the fetch width (every group drains over multiple cycles).
-	p, _ := prog.ProfileByName("go")
-	shapes := []func(*Config){
-		func(c *Config) { c.Pipe.SetDepth(6) },
-		func(c *Config) { c.Pipe.SetDepth(28) },
-		func(c *Config) { c.Pipe.FetchWidth = 4 },
-		func(c *Config) { c.Pipe.DecodeWidth = 2 },
-		func(c *Config) { c.Pipe.FetchWidth = 8; c.Pipe.DecodeWidth = 3; c.Pipe.IssueWidth = 5 },
-		func(c *Config) { c.Pipe.MaxTakenPerCycle = 1 },
-		func(c *Config) { c.Pipe.WindowSize = 16; c.Pipe.LSQSize = 8 },
-	}
-	for i, shape := range shapes {
-		cfg := BestExperiment().Apply(Default())
-		cfg.Instructions = 8000
-		cfg.Warmup = 2000
-		cfg.Pipe.StuckCycles = 20000 // fail fast if a shape wedges the machine
-		shape(&cfg)
-		if got, want := runWithFrontEndMode(cfg, p, false), runWithFrontEndMode(cfg, p, true); got != want {
-			t.Errorf("shape %d: fused front end diverged from two-ring reference", i)
-		}
-	}
-}
-
-// TestFrontEndWalkerModeCross pins all four combinations of the front-end
-// and walker implementations to one result: the fused front end must work
-// identically over both walker fast paths (NextGroup has a legacy-walker
-// form too), and no pairing may drift from the all-legacy reference.
-func TestFrontEndWalkerModeCross(t *testing.T) {
-	p, _ := prog.ProfileByName("twolf")
-	cfg := BestExperiment().Apply(Default())
-	cfg.Instructions = 10000
-	cfg.Warmup = 2500
-	var ref Result
-	for i, mode := range []struct{ frontEnd, walk bool }{
-		{true, true}, {true, false}, {false, true}, {false, false},
-	} {
-		c := cfg
-		c.Pipe.LegacyFrontEnd = mode.frontEnd
-		c.LegacyWalk = mode.walk
-		res := NewRunner().Run(c, p)
-		res.Config.Pipe.LegacyFrontEnd = false
-		res.Config.LegacyWalk = false
-		if i == 0 {
-			ref = res
-			continue
-		}
-		if res != ref {
-			t.Errorf("front-end/walker combination legacyFE=%v legacyWalk=%v diverged from all-legacy reference",
-				mode.frontEnd, mode.walk)
-		}
-	}
-}
-
-// runWithLedgerMode executes cfg/profile with the chosen power-attribution
-// implementation and strips the mode flag from the result's Config so the
-// two modes compare equal on everything observable.
-func runWithLedgerMode(cfg Config, p prog.Profile, legacy bool) Result {
-	cfg.Pipe.LegacyEventLedger = legacy
-	res := NewRunner().Run(cfg, p)
-	res.Config.Pipe.LegacyEventLedger = false
-	return res
-}
-
-// The epoch-ledger power attribution (per-speculation-epoch event tallies,
-// folded wholesale into the wasted pool at flush) must be indistinguishable
-// from the per-instruction reference it replaced: identical per-unit useful
-// and wasted event totals — and therefore identical energies — on every
-// profile, policy, and structural shape. Result is comparable, so == is a
-// bit-level check across all of it.
-
-func TestEpochLedgerMatchesLegacyAllProfiles(t *testing.T) {
-	cfg := Default()
-	cfg.Instructions = 12000
-	cfg.Warmup = 3000
-	c2 := BestExperiment()
-	for _, p := range prog.Profiles() {
-		for _, e := range []Experiment{{ID: "baseline", Policy: core.Baseline(), Estimator: EstBPRU}, c2} {
-			ecfg := e.Apply(cfg)
-			if got, want := runWithLedgerMode(ecfg, p, false), runWithLedgerMode(ecfg, p, true); got != want {
-				t.Errorf("%s/%s: epoch ledger diverged from per-instruction reference", p.Name, e.ID)
-			}
-		}
-	}
+	checkCorpusCells(t, cellPrefix("policy/"))
 }
 
 func TestEpochLedgerMatchesLegacyAllPolicies(t *testing.T) {
-	cfg := Default()
-	cfg.Instructions = 10000
-	cfg.Warmup = 2500
-	for _, name := range []string{"go", "gzip", "twolf"} {
-		p, _ := prog.ProfileByName(name)
-		for _, e := range identityPolicies() {
-			ecfg := e.Apply(cfg)
-			if got, want := runWithLedgerMode(ecfg, p, false), runWithLedgerMode(ecfg, p, true); got != want {
-				t.Errorf("%s/%s: epoch ledger diverged from per-instruction reference", name, e.ID)
-			}
-		}
-	}
+	checkCorpusCells(t, cellPrefix("policy/"))
 }
 
-func TestEpochLedgerMatchesLegacyStressShapes(t *testing.T) {
-	// Shapes that stress the epoch machinery specifically: the deepest pipe
-	// (maximal squash depth and recovery traffic), a tiny window (constant
-	// flushes, epochs folding every few cycles), narrow widths (epochs
-	// straddling the decode boundary for many cycles), single-taken
-	// truncation (many short fetch groups per epoch), and the minimum depth
-	// (commit chasing fetch closely, epochs retiring almost immediately).
-	p, _ := prog.ProfileByName("go")
-	shapes := []func(*Config){
-		func(c *Config) { c.Pipe.SetDepth(28) },
-		func(c *Config) { c.Pipe.SetDepth(6) },
-		func(c *Config) { c.Pipe.WindowSize = 16; c.Pipe.LSQSize = 8 },
-		func(c *Config) { c.Pipe.FetchWidth = 4; c.Pipe.DecodeWidth = 2 },
-		func(c *Config) { c.Pipe.FetchWidth = 8; c.Pipe.DecodeWidth = 3; c.Pipe.IssueWidth = 5 },
-		func(c *Config) { c.Pipe.MaxTakenPerCycle = 1 },
-	}
-	for i, shape := range shapes {
-		cfg := BestExperiment().Apply(Default())
-		cfg.Instructions = 8000
-		cfg.Warmup = 2000
-		cfg.Pipe.StuckCycles = 20000 // fail fast if a shape wedges the machine
-		shape(&cfg)
-		if got, want := runWithLedgerMode(cfg, p, false), runWithLedgerMode(cfg, p, true); got != want {
-			t.Errorf("shape %d: epoch ledger diverged from per-instruction reference", i)
-		}
-	}
-}
-
-// TestLedgerFrontEndModeCross pins all four combinations of the attribution
-// and front-end implementations to one result: the epoch ledgers must fold
-// identically under both front ends' squash orders (hpca03 exposes the same
-// cross through -legacyledger x -legacyfrontend), and no pairing may drift
-// from the all-legacy reference.
-func TestLedgerFrontEndModeCross(t *testing.T) {
-	p, _ := prog.ProfileByName("twolf")
-	cfg := BestExperiment().Apply(Default())
-	cfg.Instructions = 10000
-	cfg.Warmup = 2500
-	var ref Result
-	for i, mode := range []struct{ frontEnd, ledger bool }{
-		{true, true}, {true, false}, {false, true}, {false, false},
-	} {
-		c := cfg
-		c.Pipe.LegacyFrontEnd = mode.frontEnd
-		c.Pipe.LegacyEventLedger = mode.ledger
-		res := NewRunner().Run(c, p)
-		res.Config.Pipe.LegacyFrontEnd = false
-		res.Config.Pipe.LegacyEventLedger = false
-		if i == 0 {
-			ref = res
-			continue
-		}
-		if res != ref {
-			t.Errorf("front-end/ledger combination legacyFE=%v legacyLedger=%v diverged from all-legacy reference",
-				mode.frontEnd, mode.ledger)
-		}
-	}
-}
-
+// TestEventIssueMatchesScanStressShapes covers the issue stage's corner
+// cases: a deep pipe (long latencies, wheel clamping), a tiny window
+// (constant back-pressure and flushes), perfect disambiguation (no store
+// blocking) and a narrow issue width.
 func TestEventIssueMatchesScanStressShapes(t *testing.T) {
-	// Structural corner cases: deep pipe (long latencies, wheel clamping),
-	// tiny window (constant back-pressure, constant flushes), perfect
-	// disambiguation (store-queue path disabled), and a narrow issue width
-	// (the scan's early exit fires nearly every cycle).
-	p, _ := prog.ProfileByName("go")
-	shapes := []func(*Config){
-		func(c *Config) { c.Pipe.SetDepth(28) },
-		func(c *Config) { c.Pipe.WindowSize = 16; c.Pipe.LSQSize = 8 },
-		func(c *Config) { c.Pipe.PerfectDisambiguation = true },
-		func(c *Config) { c.Pipe.IssueWidth = 2 },
-	}
-	for i, shape := range shapes {
-		cfg := BestExperiment().Apply(Default())
-		cfg.Instructions = 8000
-		cfg.Warmup = 2000
-		shape(&cfg)
-		if got, want := runWithIssueMode(cfg, p, false), runWithIssueMode(cfg, p, true); got != want {
-			t.Errorf("shape %d: event-driven issue diverged from scan reference", i)
-		}
-	}
+	checkCorpusCells(t, cellNames("shape/depth28", "shape/window16", "shape/perfect-disambiguation", "shape/issue2"))
+}
+
+// TestFusedFrontEndMatchesLegacyStressShapes covers the front end's corner
+// cases: both depth extremes, narrow fetch or decode (groups straddling the
+// decode boundary for many cycles), single-taken truncation (short groups)
+// and a tiny window (constant back-pressure into the delay line).
+func TestFusedFrontEndMatchesLegacyStressShapes(t *testing.T) {
+	checkCorpusCells(t, cellNames("shape/depth6", "shape/depth28", "shape/fetch4", "shape/decode2",
+		"shape/fetch8-decode3-issue5", "shape/taken1", "shape/window16"))
+}
+
+// TestEpochLedgerMatchesLegacyStressShapes covers the epoch ledger's corner
+// cases: the deepest pipe (maximal squash depth), a tiny window (epochs
+// folding every few cycles), narrow widths (epochs straddling the decode
+// boundary), single-taken truncation (many short groups per epoch) and the
+// minimum depth (epochs retiring almost immediately).
+func TestEpochLedgerMatchesLegacyStressShapes(t *testing.T) {
+	checkCorpusCells(t, cellNames("shape/depth28", "shape/depth6", "shape/window16", "shape/fetch4-decode2",
+		"shape/fetch8-decode3-issue5", "shape/taken1"))
+}
+
+// The two mode-cross tests pinned every pairing of two references on twolf
+// under C2 to one result; that result is the cell's digest.
+
+func TestFrontEndWalkerModeCross(t *testing.T) {
+	checkCorpusCells(t, cellNames("policy/twolf/C2"))
+}
+
+func TestLedgerFrontEndModeCross(t *testing.T) {
+	checkCorpusCells(t, cellNames("policy/twolf/C2"))
 }
