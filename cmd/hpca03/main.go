@@ -9,6 +9,12 @@
 //	       [-store dir] [-workers n] [-fleet host1,host2]
 //	       [-cpuprofile file] [-memprofile file]
 //
+// -workers n and -fleet both need -store. -workers starts n local stworker
+// processes for the run and -fleet names running stserve instances; all of
+// them serve one fleet dispatch (internal/fleet) before the report renders
+// over the filled store. -worker-bin, -worker-fault, -lease-ttl,
+// -point-timeout, -hedge-after and -breaker-open tune that dispatch.
+//
 // Experiments:
 //
 //	table1   power breakdown + fraction wasted by mis-speculated instructions
@@ -35,7 +41,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
 	"selthrottle/internal/prog"
@@ -65,15 +70,15 @@ func run() int {
 	storeDir := flag.String("store", "", "persistent result store directory (crash-safe disk cache tier; empty = memory only)")
 	cacheEntries := flag.Int("cache-entries", sim.DefaultCacheEntries, "in-memory result cache entry cap (0 = unbounded)")
 	quarWarn := flag.Int("quarantine-warn", 0, "warn once when the store holds more than this many quarantined files (0 = off)")
-	workers := flag.Int("workers", 0, "shard the grid across this many stworker processes over -store (0 = in-process)")
-	workerBin := flag.String("worker-bin", "", "stworker binary path (default: next to this binary)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "worker lease expiry horizon (default 3s)")
-	respawns := flag.Int("respawn", 2, "respawn budget per crashed/frozen worker partition")
-	workerFault := flag.String("worker-fault", "", "per-partition fault specs, e.g. '1:kill-after=2;2:freeze-beats' (test use)")
-	fleetHosts := flag.String("fleet", "", "comma-separated stserve workers to dispatch the grid to over HTTP (requires -store)")
-	pointTimeout := flag.Duration("point-timeout", 0, "fleet per-request deadline (0 = derived from point cost)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fleet straggler threshold before hedging a request (0 = derived; negative disables)")
-	breakerOpen := flag.Duration("breaker-open", 0, "fleet circuit-breaker open interval before a readiness probe (0 = default)")
+	var ff fleetFlags
+	flag.IntVar(&ff.workers, "workers", 0, "start this many local stworker processes over -store and dispatch the grid to them (0 = in-process)")
+	flag.StringVar(&ff.workerBin, "worker-bin", "", "stworker binary path (default: next to this binary)")
+	flag.DurationVar(&ff.leaseTTL, "lease-ttl", 0, "point-lease expiry horizon, also handed to local workers (default 3s)")
+	flag.StringVar(&ff.workerFault, "worker-fault", "", "per-local-worker fault specs, e.g. '1:kill-after=2;2:freeze-after=2' (test use)")
+	flag.StringVar(&ff.hosts, "fleet", "", "comma-separated stserve workers to dispatch the grid to over HTTP (requires -store)")
+	flag.DurationVar(&ff.pointTimeout, "point-timeout", 0, "fleet per-request deadline (0 = derived from point cost)")
+	flag.DurationVar(&ff.hedgeAfter, "hedge-after", 0, "fleet straggler threshold before hedging a request (0 = derived; negative disables)")
+	flag.DurationVar(&ff.breakerOpen, "breaker-open", 0, "fleet circuit-breaker open interval before a readiness probe (0 = default)")
 	flag.Parse()
 	if err := sim.CheckDepthKB(*depth, *kb); err != nil {
 		fmt.Fprintf(os.Stderr, "hpca03: %v\n", err)
@@ -149,47 +154,29 @@ func run() int {
 		ConfBytes:    *kb * 1024 / 2,
 	}
 	if *bench != "" {
-		var ps []prog.Profile
-		for _, name := range strings.Split(*bench, ",") {
-			p, ok := prog.ProfileByName(strings.TrimSpace(name))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "hpca03: unknown benchmark %q\n", name)
-				return 2
-			}
-			ps = append(ps, p)
+		ps, err := prog.ParseProfiles(*bench)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hpca03: %v\n", err)
+			return 2
 		}
 		opts.Profiles = ps
 	}
 
-	// Coordinator mode: shard the grid across worker processes first, then
-	// fall through to the normal dispatch — which now runs over the warm
-	// store, serving worker-published points from disk and computing any a
-	// lost partition left behind. Same code path, same bytes out.
-	if *workers > 0 {
+	// Fleet mode: dispatch the grid to local (-workers) and remote (-fleet)
+	// workers first, then fall through to the normal dispatch — which now
+	// runs over the warm store and the injected results, computing only
+	// what the fleet could not. Same code path, same bytes out.
+	if ff.workers > 0 || ff.hosts != "" {
 		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "hpca03: -workers requires -store")
+			name := "-fleet"
+			if ff.workers > 0 {
+				name = "-workers"
+			}
+			fmt.Fprintf(os.Stderr, "hpca03: %s requires -store\n", name)
 			return 2
 		}
-		bin := *workerBin
-		if bin == "" {
-			bin = defaultWorkerBin()
-		}
-		if err := runWorkers(ctx, *workers, bin, *storeDir, *exp, *id, *bench, opts, *leaseTTL, *respawns, *workerFault); err != nil {
-			fmt.Fprintf(os.Stderr, "hpca03: -workers: %v\n", err)
-			return 2
-		}
-	}
-
-	// Fleet mode: same fall-through shape as -workers, but the compute runs
-	// on remote stserve instances over HTTP — deadlines, retries, hedging,
-	// circuit breakers, and a local-compute floor when the network loses.
-	if *fleetHosts != "" {
-		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "hpca03: -fleet requires -store")
-			return 2
-		}
-		if err := runFleet(ctx, *fleetHosts, *storeDir, *exp, *id, *bench, opts, *leaseTTL, *pointTimeout, *hedgeAfter, *breakerOpen); err != nil {
-			fmt.Fprintf(os.Stderr, "hpca03: -fleet: %v\n", err)
+		if err := runFleet(ctx, ff, *storeDir, *exp, *id, *bench, opts); err != nil {
+			fmt.Fprintf(os.Stderr, "hpca03: fleet: %v\n", err)
 			return 2
 		}
 	}

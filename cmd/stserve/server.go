@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -220,13 +219,9 @@ func (s *server) optionsFrom(q url.Values) (sim.Options, error) {
 		return opts, err
 	}
 	if v := q.Get("bench"); v != "" {
-		var ps []prog.Profile
-		for _, name := range strings.Split(v, ",") {
-			p, ok := prog.ProfileByName(strings.TrimSpace(name))
-			if !ok {
-				return opts, fmt.Errorf("unknown benchmark %q", name)
-			}
-			ps = append(ps, p)
+		ps, err := prog.ParseProfiles(v)
+		if err != nil {
+			return opts, err
 		}
 		opts.Profiles = ps
 	}

@@ -1,41 +1,45 @@
-// Command stworker runs one partition of an hpca03 experiment grid against
-// a shared result store. It is the worker half of the multi-worker sweep:
-// the coordinator (hpca03 -workers N) spawns N of these, each enumerates
-// the identical grid from its flags, claims its partition's lease, computes
-// its points through the store's disk tier, and exits. Workers produce no
-// figures — their entire output is content-addressed Results in the store —
-// so a worker killed mid-partition wastes only the single in-flight point.
+// Command stworker is the local compute worker behind hpca03 -workers N.
+// hpca03 starts N of them over its -store directory and adds their
+// addresses to its fleet: each serves /v1/compute (one grid point per
+// request, computed under a point lease and published to the shared store,
+// as stserve does) and /readyz for the fleet's breaker probes. Unlike
+// stserve it listens on loopback only, on an ephemeral port whose address
+// it writes as the first line of stdout, and it lives no longer than its
+// parent: EOF on stdin (the parent is gone) stops it like SIGTERM does. It
+// has no admission queue; the coordinator's per-worker cap already bounds
+// the requests in flight.
 //
 // Usage:
 //
-//	stworker -store dir -part i -of n [-exp experiment] [-id expID]
-//	         [-n instructions] [-warmup instructions] [-depth stages]
-//	         [-kb totalKB] [-bench list]
-//	         [-ttl duration] [-timeout duration] [-retries k]
-//	         [-fault spec] [-steal] [-v]
+//	stworker -store dir [-ttl duration] [-fault spec]
+//
+// -fault arms process faults for crash tests (faultinject.ProcFaults,
+// comma-separated): kill-after=k SIGKILLs the worker after its k-th served
+// point, freeze-after=k wedges every later request, and lease-enospc makes
+// lease creation fail with ENOSPC.
 //
 // Exit codes:
 //
-//	0  partition complete, every point published
-//	1  partition complete, some points terminally failed
+//	0  stopped by SIGTERM, SIGINT or EOF on stdin
+//	1  the store, the lease directory or the listener failed, or serving failed
 //	2  usage error
-//	3  interrupted (signal) before finishing
-//	4  the partition lease is held by a live worker
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
+	"time"
 
 	"selthrottle/internal/faultinject"
+	"selthrottle/internal/fleet"
 	"selthrottle/internal/grid"
-	"selthrottle/internal/prog"
 	"selthrottle/internal/sim"
 	"selthrottle/internal/store"
 )
@@ -46,62 +50,18 @@ func main() {
 
 func run() int {
 	storeDir := flag.String("store", "", "shared result store directory (required)")
-	part := flag.Int("part", 0, "partition index (0-based)")
-	of := flag.Int("of", 1, "partition count")
-	exp := flag.String("exp", "all", "experiment grid to partition (same values as hpca03 -exp)")
-	id := flag.String("id", "C2", "experiment id for -exp run")
-	n := flag.Uint64("n", prog.DefaultInstructions, "measured instructions per benchmark")
-	warmup := flag.Uint64("warmup", 0, "warmup instructions per benchmark (default n/4)")
-	depth := flag.Int("depth", 14, "pipeline depth in stages")
-	kb := flag.Int("kb", 16, "total predictor+estimator budget in KB")
-	bench := flag.String("bench", "", "restrict to a comma-separated list of benchmarks")
-	ttl := flag.Duration("ttl", grid.DefaultTTL, "lease expiry horizon (must match the coordinator's)")
-	timeout := flag.Duration("timeout", 0, "per-point deadline (0 = none)")
-	retries := flag.Int("retries", 0, "per-point retry budget for transient failures")
-	fault := flag.String("fault", "", "process fault spec, e.g. kill-after=3,freeze-beats,lease-enospc (test use)")
-	steal := flag.Bool("steal", false, "after finishing this partition, steal unleased/expired points from the rest of the grid")
-	verbose := flag.Bool("v", false, "log per-point progress and lease events to stderr")
+	ttl := flag.Duration("ttl", grid.DefaultTTL, "point-lease expiry horizon (must match the coordinator's)")
+	fault := flag.String("fault", "", "process fault spec, e.g. kill-after=3 or freeze-after=2,lease-enospc (test use)")
 	flag.Parse()
 
-	if *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "stworker: -store is required")
-		return grid.ExitUsage
-	}
-	if *of < 1 || *part < 0 || *part >= *of {
-		fmt.Fprintf(os.Stderr, "stworker: bad partition %d of %d\n", *part, *of)
-		return grid.ExitUsage
+	if *storeDir == "" || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: stworker -store dir [-ttl duration] [-fault spec]")
+		return 2
 	}
 	faults, err := faultinject.ParseProcFaults(*fault)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stworker: %v\n", err)
-		return grid.ExitUsage
-	}
-
-	opts := sim.Options{
-		Instructions: *n,
-		Warmup:       *warmup,
-		Depth:        *depth,
-		PredBytes:    *kb * 1024 / 2,
-		ConfBytes:    *kb * 1024 / 2,
-		Supervise:    sim.Supervisor{Timeout: *timeout, Retries: *retries},
-	}
-	if *bench != "" {
-		var ps []prog.Profile
-		for _, name := range strings.Split(*bench, ",") {
-			p, ok := prog.ProfileByName(strings.TrimSpace(name))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "stworker: unknown benchmark %q\n", name)
-				return grid.ExitUsage
-			}
-			ps = append(ps, p)
-		}
-		opts.Profiles = ps
-	}
-
-	points, err := sim.EnumerateGrid(*exp, *id, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stworker: %v\n", err)
-		return grid.ExitUsage
+		return 2
 	}
 
 	// The store and the lease directory share one FS so an injected fault
@@ -117,64 +77,81 @@ func run() int {
 	st, err := store.Open(*storeDir, fsys)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stworker: store %s: %v\n", *storeDir, err)
-		return grid.ExitUsage
+		return 1
 	}
 	sim.AttachDiskStore(st)
 	leases, err := grid.NewManager(*storeDir, fsys, *ttl)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stworker: %v\n", err)
-		return grid.ExitUsage
+		return 1
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "stworker: listen: %v\n", err)
+		return 1
+	}
+	fmt.Println(ln.Addr().String())
 
-	// SIGTERM/SIGINT cancels cooperatively: the in-flight point stops at its
-	// next cancellation check, everything already published stays published,
-	// and a later run (or the coordinator's reassignment) resumes from the
-	// warm store.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stopSignals()
+	// SIGTERM, SIGINT and EOF on stdin all stop the worker: the last means
+	// the parent that started it has exited, however it exited.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	go func() {
+		_, _ = io.Copy(io.Discard, os.Stdin) // EOF or a read error: stdin is gone either way
+		stop()
+	}()
 
-	logf := func(format string, args ...any) {
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "stworker: "+format+"\n", args...)
+	ready := func() bool { return ctx.Err() == nil }
+	cs := &fleet.ComputeServer{
+		Leases: leases,
+		Owner:  fmt.Sprintf("stworker-pid%d", os.Getpid()),
+		Ready:  ready,
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/v1/compute", cs)
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+		if !ready() {
+			http.Error(w, "stopping", http.StatusServiceUnavailable)
+			return
 		}
-	}
-	wopts := grid.WorkerOptions{
-		Points:      points,
-		Part:        *part,
-		Of:          *of,
-		Owner:       fmt.Sprintf("stworker-pid%d", os.Getpid()),
-		Leases:      leases,
-		Supervise:   opts.Supervise,
-		Steal:       *steal,
-		FreezeBeats: faults.FreezeBeats,
-		Logf:        logf,
-	}
-	if faults.KillAfterPoints > 0 || faults.FreezeAfterPoints > 0 {
-		wopts.AfterPoint = func(done int) {
-			if faults.KillAfterPoints > 0 && done >= faults.KillAfterPoints {
-				faultinject.KillSelf()
-			}
-			if faults.FreezeAfterPoints > 0 && done >= faults.FreezeAfterPoints {
-				select {} // wedged: no beats (frozen from start), no progress, no exit
-			}
-		}
-	}
+		fmt.Fprintln(w, "ready")
+	})
+	srv := &http.Server{Handler: withFaults(ctx, mux, cs, faults), ReadHeaderTimeout: 10 * time.Second}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
 
-	rep, err := grid.RunWorker(ctx, wopts)
-	logf("p%d/%d: owned %d, computed %d, failed %d, stolen %d", *part, *of, rep.Owned, rep.Computed, rep.Failed, rep.Stolen)
-	switch {
-	case errors.Is(err, grid.ErrHeld):
-		fmt.Fprintf(os.Stderr, "stworker: %v\n", err)
-		return grid.ExitLeaseHeld
-	case errors.Is(err, grid.ErrInterrupted):
-		fmt.Fprintf(os.Stderr, "stworker: %v\n", err)
-		return grid.ExitInterrupted
-	case err != nil:
-		fmt.Fprintf(os.Stderr, "stworker: %v\n", err)
-		return grid.ExitInterrupted
-	case rep.Failed > 0:
-		fmt.Fprintf(os.Stderr, "stworker: p%d: %d point(s) terminally failed\n", *part, rep.Failed)
-		return grid.ExitPointFailures
+	select {
+	case err := <-errc:
+		fmt.Fprintf(os.Stderr, "stworker: serve: %v\n", err)
+		return 1
+	case <-ctx.Done():
 	}
-	return grid.ExitOK
+	// A point still computing for a coordinator that has gone away is
+	// canceled with its connection; give its lease release a moment.
+	sctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if srv.Shutdown(sctx) != nil {
+		srv.Close()
+	}
+	return 0
+}
+
+// withFaults arms the worker's process faults around h: kill-after=k
+// SIGKILLs the process once k points have been served, and freeze-after=k
+// blocks every request that arrives after the k-th served point until the
+// worker is told to stop.
+func withFaults(ctx context.Context, h http.Handler, cs *fleet.ComputeServer, f faultinject.ProcFaults) http.Handler {
+	if f.KillAfterPoints == 0 && f.FreezeAfterPoints == 0 {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if k := f.FreezeAfterPoints; k > 0 && cs.Stats().Served >= uint64(k) {
+			<-ctx.Done()
+			return
+		}
+		h.ServeHTTP(w, r)
+		if k := f.KillAfterPoints; k > 0 && cs.Stats().Served >= uint64(k) {
+			faultinject.KillSelf()
+		}
+	})
 }

@@ -1,12 +1,13 @@
 package faultinject
 
 // Process-level faults: deterministic ways for a worker PROCESS to die or
-// degrade, complementing the point-level Plan (panics, deadlocks) and the
-// disk-level DiskFS (torn writes, ENOSPC). These are what the multi-worker
-// crash tests are made of — a worker that SIGKILLs itself after k computed
-// points is an abrupt crash indistinguishable from an OOM kill, and a worker
-// whose heartbeats freeze while it keeps computing is the classic
-// half-dead process a lease TTL exists to catch.
+// wedge, complementing the point-level Plan (panics, deadlocks) and the
+// disk-level DiskFS (torn writes, ENOSPC). hpca03 -workers hands one spec
+// to each local stworker (-worker-fault '1:kill-after=2'). A worker that
+// SIGKILLs itself after k served points is an abrupt crash
+// indistinguishable from an OOM kill; a worker that stops answering after k
+// points is the hung process that only request deadlines, hedges and
+// circuit breakers can route around.
 
 import (
 	"fmt"
@@ -19,17 +20,13 @@ import (
 // ProcFaults is a deterministic process-level fault specification, parsed
 // from the comma-separated form workers accept on the command line.
 type ProcFaults struct {
-	// KillAfterPoints, when > 0, SIGKILLs the process after that many grid
-	// points have been computed — an abrupt crash with no cleanup, no lease
+	// KillAfterPoints, when > 0, SIGKILLs the process once that many grid
+	// points have been served — an abrupt crash with no cleanup, no lease
 	// release, no deferred handlers.
 	KillAfterPoints int
-	// FreezeBeats stops heartbeat renewal while the worker keeps computing:
-	// the half-dead state an observer must classify as expired.
-	FreezeBeats bool
-	// FreezeAfterPoints, when > 0, wedges the process completely after that
-	// many points — heartbeats frozen from the start AND computation
-	// blocked forever — the classic hung worker only a lease TTL plus an
-	// external kill can clear. Implies FreezeBeats.
+	// FreezeAfterPoints, when > 0, wedges the process once that many
+	// points have been served: every later request, readiness probes
+	// included, blocks without an answer until the process is told to stop.
 	FreezeAfterPoints int
 	// LeaseENOSPC injects ENOSPC into lease-file creation (OpCreate under
 	// the leases directory), forcing the leaseless degradation path.
@@ -38,7 +35,7 @@ type ProcFaults struct {
 
 // Zero reports whether no process fault is armed.
 func (p ProcFaults) Zero() bool {
-	return p.KillAfterPoints == 0 && !p.FreezeBeats && p.FreezeAfterPoints == 0 && !p.LeaseENOSPC
+	return p.KillAfterPoints == 0 && p.FreezeAfterPoints == 0 && !p.LeaseENOSPC
 }
 
 // String renders the spec in the form ParseProcFaults accepts.
@@ -46,9 +43,6 @@ func (p ProcFaults) String() string {
 	var parts []string
 	if p.KillAfterPoints > 0 {
 		parts = append(parts, fmt.Sprintf("kill-after=%d", p.KillAfterPoints))
-	}
-	if p.FreezeBeats {
-		parts = append(parts, "freeze-beats")
 	}
 	if p.FreezeAfterPoints > 0 {
 		parts = append(parts, fmt.Sprintf("freeze-after=%d", p.FreezeAfterPoints))
@@ -59,8 +53,8 @@ func (p ProcFaults) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseProcFaults decodes a spec like "kill-after=3,freeze-beats" or
-// "lease-enospc". The empty string is the zero (no-fault) spec.
+// ParseProcFaults decodes a spec like "kill-after=3,lease-enospc" or
+// "freeze-after=2". The empty string is the zero (no-fault) spec.
 func ParseProcFaults(spec string) (ProcFaults, error) {
 	var p ProcFaults
 	if spec == "" {
@@ -69,8 +63,6 @@ func ParseProcFaults(spec string) (ProcFaults, error) {
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		switch {
-		case tok == "freeze-beats":
-			p.FreezeBeats = true
 		case tok == "lease-enospc":
 			p.LeaseENOSPC = true
 		case strings.HasPrefix(tok, "kill-after="):
@@ -85,7 +77,6 @@ func ParseProcFaults(spec string) (ProcFaults, error) {
 				return p, fmt.Errorf("faultinject: bad freeze-after count in %q", tok)
 			}
 			p.FreezeAfterPoints = n
-			p.FreezeBeats = true
 		default:
 			return p, fmt.Errorf("faultinject: unknown process fault %q", tok)
 		}

@@ -9,11 +9,10 @@ func TestParseProcFaults(t *testing.T) {
 	}{
 		{"", ProcFaults{}},
 		{"kill-after=3", ProcFaults{KillAfterPoints: 3}},
-		{"freeze-beats", ProcFaults{FreezeBeats: true}},
-		{"freeze-after=2", ProcFaults{FreezeAfterPoints: 2, FreezeBeats: true}},
+		{"freeze-after=2", ProcFaults{FreezeAfterPoints: 2}},
 		{"lease-enospc", ProcFaults{LeaseENOSPC: true}},
 		{"kill-after=5,lease-enospc", ProcFaults{KillAfterPoints: 5, LeaseENOSPC: true}},
-		{" kill-after=1 , freeze-beats ", ProcFaults{KillAfterPoints: 1, FreezeBeats: true}},
+		{" kill-after=1 , freeze-after=4 ", ProcFaults{KillAfterPoints: 1, FreezeAfterPoints: 4}},
 	}
 	for _, c := range cases {
 		got, err := ParseProcFaults(c.spec)
@@ -35,7 +34,7 @@ func TestParseProcFaults(t *testing.T) {
 			t.Errorf("ParseProcFaults(%q) accepted", bad)
 		}
 	}
-	if !(ProcFaults{}).Zero() || (ProcFaults{FreezeBeats: true}).Zero() {
+	if !(ProcFaults{}).Zero() || (ProcFaults{FreezeAfterPoints: 1}).Zero() {
 		t.Error("Zero misclassifies")
 	}
 }

@@ -276,7 +276,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 	// Skip points the shared store already holds; queue the rest.
 	var todo []int
 	for i := range points {
-		if c.st != nil && c.st.Has(points[i].Key()) {
+		if published(c.st, points[i].Key()) {
 			rep.Stored++
 			continue
 		}
@@ -471,7 +471,7 @@ func (c *coordinator) dispatchPoint(ctx context.Context, idx, perWorker int) {
 				conflicts++
 				// Someone else is computing the point. Give them a backoff
 				// interval, then check whether their result landed.
-				if c.waitBackoff(ctx, &backoff, rng) && c.st != nil && c.st.Has(key) {
+				if c.waitBackoff(ctx, &backoff, rng) && published(c.st, key) {
 					c.remote.Add(1)
 					return
 				}
@@ -619,24 +619,22 @@ func (c *coordinator) attemptWithHedge(ctx context.Context, wk *worker, idx int,
 // waitBackoff sleeps one jittered backoff interval (doubling the base,
 // saturating at sim.MaxBackoff) unless ctx ends first.
 func (c *coordinator) waitBackoff(ctx context.Context, backoff *time.Duration, rng *xrand.Rand) bool {
-	d := *backoff
-	if d > 1 {
-		half := uint64(d / 2)
-		d = time.Duration(half + rng.Uint64()%(half+1))
-	}
-	if *backoff >= sim.MaxBackoff/2 {
-		*backoff = sim.MaxBackoff
-	} else {
-		*backoff *= 2
-	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(sim.Jittered(*backoff, rng))
 	defer t.Stop()
+	*backoff = sim.NextBackoff(*backoff)
 	select {
 	case <-ctx.Done():
 		return false
 	case <-t.C:
 		return true
 	}
+}
+
+// published reports whether st (nil: no store) holds k's entry. Has knows
+// only what this process indexed; Adopt finds, checks and indexes an entry
+// another process (a sibling worker, say) published since.
+func published(st *store.Store, k store.Key) bool {
+	return st != nil && (st.Has(k) || st.Adopt(k))
 }
 
 // park queues a point for local fallback.
@@ -655,7 +653,7 @@ func (c *coordinator) park(idx int) {
 func (c *coordinator) computeLocal(ctx context.Context, idx int) bool {
 	pt := c.points[idx]
 	key := pt.Key()
-	if c.st != nil && c.st.Has(key) {
+	if published(c.st, key) {
 		return true // landed while we were dispatching elsewhere
 	}
 	var lease *grid.Lease

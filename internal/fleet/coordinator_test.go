@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,12 +14,13 @@ import (
 	"selthrottle/internal/grid"
 )
 
-// fleetWorker mounts a ComputeServer plus /readyz on a real HTTP listener —
-// one simulated stserve instance.
-func fleetWorker(t *testing.T, cs *ComputeServer) *httptest.Server {
+// fleetWorker mounts a compute handler (a ComputeServer, or a wrapper
+// around one) plus /readyz on a real HTTP listener — one simulated stserve
+// instance.
+func fleetWorker(t *testing.T, compute http.Handler) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.Handle("/v1/compute", cs)
+	mux.Handle("/v1/compute", compute)
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(200)
 		w.Write([]byte("ready\n"))
@@ -134,6 +136,55 @@ func TestFleetRunRemote(t *testing.T) {
 	})
 	if err != nil || rep2.Stored != len(pts) || rep2.Remote != 0 || rep2.Local != 0 {
 		t.Fatalf("warm rerun = %+v, %v; want all stored", rep2, err)
+	}
+}
+
+// TestFleetRunSeesLateForeignPublication: a point whose lease a third
+// party holds answers 409; when that party's result lands in the store
+// during dispatch — published by another process, so the coordinator's
+// index never saw it — the coordinator's post-conflict check finds it and
+// counts the point served, instead of escalating to a steal that computes
+// it again.
+func TestFleetRunSeesLateForeignPublication(t *testing.T) {
+	_, dir := attachTestStore(t)
+	leases, err := grid.NewManager(dir, nil, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(6170)
+	pts := specPoints(t, spec)
+	if _, err := leases.ClaimPoint(grid.ID(pts), pts[0].Key(), "other", false); err != nil {
+		t.Fatalf("ClaimPoint: %v", err)
+	}
+	cs := &ComputeServer{Leases: leases, Owner: "w0"}
+	publish := foreignPut(t, dir, pts[0])
+	var once sync.Once
+	srv := fleetWorker(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cs.ServeHTTP(w, r)
+		if r.URL.Query().Get("index") == "0" {
+			// The lease holder publishes only after the first conflict.
+			once.Do(func() {
+				if err := publish(); err != nil {
+					t.Errorf("foreign publish: %v", err)
+				}
+			})
+		}
+	}))
+
+	rep, err := Run(context.Background(), Options{
+		Workers: []string{srv.URL},
+		Spec:    spec, Points: pts,
+		Backoff: time.Millisecond,
+		Leases:  leases, Owner: "coord-test",
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Stored != 0 || rep.Steals != 0 || rep.Local != 0 || rep.Remote != len(pts) {
+		t.Fatalf("report = %+v, want all %d points remote, none stolen or local", rep, len(pts))
+	}
+	if s := cs.Stats(); s.Conflicts == 0 || s.Served != uint64(len(pts)-1) {
+		t.Fatalf("worker stats = %+v, want a conflict and the held point never served", s)
 	}
 }
 

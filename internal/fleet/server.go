@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,13 +59,9 @@ func (g GridSpec) SimOptions() (sim.Options, error) {
 		ConfBytes:    g.KB * 1024 / 2,
 	}
 	if g.Bench != "" {
-		var ps []prog.Profile
-		for _, name := range strings.Split(g.Bench, ",") {
-			p, ok := prog.ProfileByName(strings.TrimSpace(name))
-			if !ok {
-				return sim.Options{}, fmt.Errorf("fleet: grid spec: unknown benchmark %q", name)
-			}
-			ps = append(ps, p)
+		ps, err := prog.ParseProfiles(g.Bench)
+		if err != nil {
+			return sim.Options{}, fmt.Errorf("fleet: grid spec: %w", err)
 		}
 		opts.Profiles = ps
 	}
@@ -276,13 +271,13 @@ func (s *ComputeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// Fast path: a point already published needs no lease — the compute
 	// below will be served from the store through the cache tiers.
-	published := sim.DiskStore() != nil && sim.DiskStore().Has(key)
+	stored := published(sim.DiskStore(), key)
 
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
 	var lease *grid.Lease
-	if s.Leases != nil && !published {
+	if s.Leases != nil && !stored {
 		l, err := s.Leases.ClaimPoint(gridID, key, s.Owner, steal)
 		switch {
 		case err == nil:
@@ -306,9 +301,9 @@ func (s *ComputeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("point lease held: %v", err), http.StatusConflict)
 			return
 		default:
-			// Lease I/O degraded (ENOSPC and kin): compute unprotected, as
-			// the partition workers do — the lease only prevents duplicate
-			// work, and duplicates are harmless.
+			// Lease I/O degraded (ENOSPC and kin): compute unprotected —
+			// the lease only prevents duplicate work, and duplicates are
+			// harmless.
 			s.logf("compute %s: lease degraded, running unprotected: %v", resp.Key[:12], err)
 		}
 	}

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"testing"
 	"time"
 
 	"selthrottle/internal/grid"
+	"selthrottle/internal/prog"
 	"selthrottle/internal/sim"
 	"selthrottle/internal/store"
 )
@@ -23,9 +25,12 @@ func testSpec(n uint64) GridSpec {
 
 // attachTestStore attaches a fresh disk store for the test and restores the
 // previous one afterwards. Returns the store and its directory (which the
-// lease manager shares).
+// lease manager shares). The process-wide result cache starts empty, so a
+// repeated test (-count) computes and publishes its points again instead
+// of serving them from the previous iteration's memory tier.
 func attachTestStore(t *testing.T) (*store.Store, string) {
 	t.Helper()
+	sim.ClearResultCache()
 	dir := t.TempDir()
 	st, err := store.Open(dir, nil)
 	if err != nil {
@@ -245,6 +250,57 @@ func TestComputeServerFastPathSkipsLease(t *testing.T) {
 	}
 }
 
+// foreignPut computes pt outside the process cache and returns a function
+// that publishes it through a second handle on the store at dir, as another
+// process sharing the store would: the attached store's index never learns
+// of the entry.
+func foreignPut(t *testing.T, dir string, pt sim.GridPoint) func() error {
+	t.Helper()
+	other, err := store.Open(dir, nil)
+	if err != nil {
+		t.Fatalf("store.Open (second handle): %v", err)
+	}
+	res := sim.NewRunner().Run(pt.Cfg, pt.Profile)
+	e, err := store.DecodeEntry(sim.EncodeResultEntry(&res))
+	if err != nil {
+		t.Fatalf("DecodeEntry: %v", err)
+	}
+	return func() error { return other.Put(pt.Key(), &e) }
+}
+
+// TestComputeServerFastPathAdoptsForeignEntry: a point another process
+// published after this worker opened the store takes the fast path too —
+// no lease claim (a held lease does not block it), no compute, no put.
+func TestComputeServerFastPathAdoptsForeignEntry(t *testing.T) {
+	st, dir := attachTestStore(t)
+	leases, err := grid.NewManager(dir, nil, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(6060)
+	pts := specPoints(t, spec)
+	gridID := grid.ID(pts)
+	if err := foreignPut(t, dir, pts[0])(); err != nil {
+		t.Fatalf("foreign publish: %v", err)
+	}
+	if st.Has(pts[0].Key()) {
+		t.Fatal("the attached store already indexes the foreign entry")
+	}
+	if _, err := leases.ClaimPoint(gridID, pts[0].Key(), "other", false); err != nil {
+		t.Fatalf("ClaimPoint: %v", err)
+	}
+	cs := &ComputeServer{Leases: leases, Owner: "w-test"}
+
+	before := sim.ResultCacheTierStats()
+	if rec := serveCompute(t, cs, computeURL(spec, gridID, 0, false)); rec.Code != 200 {
+		t.Fatalf("foreign-published point behind a held lease: %d, want 200 (%s)", rec.Code, rec.Body.String())
+	}
+	after := sim.ResultCacheTierStats()
+	if after.MemMisses != before.MemMisses || after.DiskPuts != before.DiskPuts || after.DiskHits != before.DiskHits+1 {
+		t.Fatalf("cache tiers moved %+v -> %+v, want one disk hit, no compute, no put", before, after)
+	}
+}
+
 // TestComputeServerAdmission: the host's admission hook runs and its
 // rejection short-circuits the compute.
 func TestComputeServerAdmission(t *testing.T) {
@@ -314,4 +370,46 @@ func TestNormalizeBase(t *testing.T) {
 			t.Fatalf("normalizeBase(%q) succeeded", bad)
 		}
 	}
+}
+
+// FuzzGridSpecFrom fuzzes /v1/compute's parser: gridSpecFrom, then
+// GridSpec.SimOptions. ComputeServer has no simulation seam, so the target
+// stops before any compute. Every input must give an error or options
+// inside the simulator's bounds — n ≥ 1, depth and kb inside
+// sim.CheckDepthKB, known profiles only — that mirror the parsed spec.
+func FuzzGridSpecFrom(f *testing.F) {
+	// TestWarmupCeiling's rows, as /v1/compute parameters.
+	for _, row := range [][5]string{
+		{"6000", "1000000", "14", "16", "gzip"},
+		{"6000", "1000001", "14", "16", "gzip"},
+		{"6000", "100000000000000", "14", "16", "gzip"},
+		{"6000", "1000001", "14", "16", ""},
+	} {
+		f.Add(row[0], row[1], row[2], row[3], row[4])
+	}
+	f.Fuzz(func(t *testing.T, n, warmup, depth, kb, bench string) {
+		q := url.Values{"exp": {"run"}, "id": {"C2"}, "n": {n}, "warmup": {warmup}, "depth": {depth}, "kb": {kb}, "bench": {bench}}
+		spec, err := gridSpecFrom(q)
+		if err != nil {
+			return
+		}
+		opts, err := spec.SimOptions()
+		if err != nil {
+			return
+		}
+		if opts.Instructions < 1 || opts.Instructions != spec.N || opts.Warmup != spec.Warmup {
+			t.Errorf("spec %+v gave n %d, warmup %d", spec, opts.Instructions, opts.Warmup)
+		}
+		if err := sim.CheckDepthKB(opts.Depth, (opts.PredBytes+opts.ConfBytes)/1024); err != nil {
+			t.Errorf("spec %+v passed with %v", spec, err)
+		}
+		if (spec.Bench == "") != (opts.Profiles == nil) {
+			t.Errorf("spec %+v gave profiles %v", spec, opts.Profiles)
+		}
+		for _, p := range opts.Profiles {
+			if _, ok := prog.ProfileByName(p.Name); !ok {
+				t.Errorf("spec %+v passed unknown profile %q", spec, p.Name)
+			}
+		}
+	})
 }

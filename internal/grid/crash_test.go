@@ -1,12 +1,12 @@
 package grid
 
 // Real-subprocess crash-recovery tests: build the actual hpca03 and
-// stworker binaries, shard a figure across 3 workers over a shared store,
-// kill one mid-grid (self-SIGKILL via the injected process fault), and
-// require the coordinator to recover AND the final report to be
-// byte-identical to a clean single-process run. This is the tentpole
-// invariant of the multi-worker subsystem proven end-to-end, not simulated:
-// real processes, real signals, real leases on a real filesystem.
+// stworker binaries, dispatch a figure to 3 local workers over a shared
+// store (hpca03 -workers 3, the fleet path with local stworker processes),
+// kill or wedge one mid-grid through the injected process fault, and
+// require the final report to be byte-identical to a clean single-process
+// run. Real processes, real signals, real point leases on a real
+// filesystem.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -72,10 +73,10 @@ func runBin(t *testing.T, bin string, args ...string) (stdout, stderr string, co
 	return out.String(), errb.String(), code
 }
 
-// TestWorkerCrashRecoveryByteIdentical is the headline invariant: 3 workers
-// shard the grid, worker 1 SIGKILLs itself after 2 points, the coordinator
-// detects the death, reclaims the lease, respawns, and the final merged
-// report is byte-identical to a clean single-process run.
+// TestWorkerCrashRecoveryByteIdentical is the headline invariant: 3 local
+// workers serve the grid, worker 1 SIGKILLs itself after 2 points, the
+// fleet routes its points elsewhere, and the final report is
+// byte-identical to a clean single-process run.
 func TestWorkerCrashRecoveryByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test")
@@ -100,7 +101,7 @@ func TestWorkerCrashRecoveryByteIdentical(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("multi-worker crash run exited %d\nstderr:\n%s", code, gotErr)
 	}
-	if !strings.Contains(gotErr, "signal: killed") {
+	if !strings.Contains(gotErr, "worker 1 exited: signal: killed") {
 		t.Fatalf("worker 1 was never killed; stderr:\n%s", gotErr)
 	}
 	if gotOut != refOut {
@@ -108,9 +109,17 @@ func TestWorkerCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerFrozenHeartbeatRecovery: a worker whose heartbeats freeze while
-// it keeps computing must be detected by lease expiry, killed by the
-// coordinator, and replaced — with the final report still byte-identical.
+// hedgedRE and breakerRE read the hedge count and the per-worker breaker
+// lines of hpca03's fleet summary.
+var (
+	hedgedRE  = regexp.MustCompile(`\((\d+) hedged`)
+	breakerRE = regexp.MustCompile(`breaker opened [1-9]\d*x`)
+)
+
+// TestWorkerFrozenHeartbeatRecovery: a worker that stops answering after 2
+// points (every later request, readiness probes included, hangs) must be
+// routed around by the fleet's hedges or breakers, with the final report
+// still byte-identical.
 func TestWorkerFrozenHeartbeatRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test")
@@ -132,18 +141,21 @@ func TestWorkerFrozenHeartbeatRecovery(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("frozen-worker run exited %d\nstderr:\n%s", code, gotErr)
 	}
-	if !strings.Contains(gotErr, "lease expired with process alive") {
-		t.Fatalf("frozen worker never detected; stderr:\n%s", gotErr)
+	m := hedgedRE.FindStringSubmatch(gotErr)
+	if m == nil {
+		t.Fatalf("no fleet summary; stderr:\n%s", gotErr)
+	}
+	if m[1] == "0" && !breakerRE.MatchString(gotErr) {
+		t.Fatalf("frozen worker never hedged around nor broken off; stderr:\n%s", gotErr)
 	}
 	if gotOut != refOut {
 		t.Fatalf("frozen-worker output diverges from single-process run\n--- single-process ---\n%s\n--- multi-worker ---\n%s", refOut, gotOut)
 	}
 }
 
-// TestMultiWorkerCleanRun: no faults — 3 workers complete their partitions
-// and the merged output matches the single-process run (the boring path
-// must work too, and the workers must actually be used: the coordinator
-// logs the sharding).
+// TestMultiWorkerCleanRun: no faults — 3 local workers serve the grid and
+// the output matches the single-process run (the boring path must work
+// too, and the workers must actually be used: hpca03 logs the dispatch).
 func TestMultiWorkerCleanRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -160,34 +172,39 @@ func TestMultiWorkerCleanRun(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("clean multi-worker run exited %d\nstderr:\n%s", code, gotErr)
 	}
-	if !strings.Contains(gotErr, "sharding") {
-		t.Fatalf("coordinator never sharded; stderr:\n%s", gotErr)
+	if !strings.Contains(gotErr, "dispatching 64 points to 3 fleet worker(s)") {
+		t.Fatalf("hpca03 never dispatched to its 3 workers; stderr:\n%s", gotErr)
 	}
 	if gotOut != refOut {
 		t.Fatalf("clean multi-worker output diverges from single-process run")
 	}
 }
 
-// TestWorkerResumesFromWarmStore: a worker re-run over the SAME store after
-// an interrupted sweep skips published points (disk hits) — resumability is
-// what makes crash recovery cheap. Proven via the stworker exit path: a
-// full clean worker run over a cold store, then the same run again; both
-// exit 0, and the store is unchanged after the second (nothing recomputed
-// differently).
+// TestWorkerResumesFromWarmStore: a second -workers run over the SAME store
+// computes nothing — every point is already published, so the fleet skips
+// them all and the report renders from the store — and leaves the store
+// byte-for-byte unchanged. Resumability is what makes crash recovery cheap.
 func TestWorkerResumesFromWarmStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	_, stworker := binaries(t)
+	hpca03, stworker := binaries(t)
 	storeDir := t.TempDir()
-	args := []string{"-store", storeDir, "-part", "0", "-of", "3",
-		"-exp", "fig3", "-n", "8000", "-warmup", "2000"}
-	if _, stderr, code := runBin(t, stworker, args...); code != 0 {
-		t.Fatalf("cold worker run exited %d\nstderr:\n%s", code, stderr)
+	args := append(fastArgs(storeDir), "-workers", "3", "-worker-bin", stworker)
+	coldOut, stderr, code := runBin(t, hpca03, args...)
+	if code != 0 {
+		t.Fatalf("cold run exited %d\nstderr:\n%s", code, stderr)
 	}
 	before := storeSnapshot(t, storeDir)
-	if _, stderr, code := runBin(t, stworker, args...); code != 0 {
-		t.Fatalf("warm worker run exited %d\nstderr:\n%s", code, stderr)
+	warmOut, stderr, code := runBin(t, hpca03, append(args, "-v")...)
+	if code != 0 {
+		t.Fatalf("warm run exited %d\nstderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "/ 0 computed") || !strings.Contains(stderr, "64 stored") {
+		t.Fatalf("warm run recomputed or redispatched points; stderr:\n%s", stderr)
+	}
+	if warmOut != coldOut {
+		t.Fatal("warm run output diverges from the cold run")
 	}
 	after := storeSnapshot(t, storeDir)
 	if len(before) == 0 {

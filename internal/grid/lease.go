@@ -1,6 +1,6 @@
 package grid
 
-// Lease files: crash-detectable ownership of grid partitions over the
+// Lease files: crash-detectable ownership of grid points over the
 // shared store directory. A lease is a tiny file under <store>/leases/
 // holding (owner, fencing token, heartbeat counter). Claiming is an atomic
 // O_EXCL create — the kernel picks exactly one winner among racing
@@ -63,7 +63,7 @@ var (
 	// ErrHeld reports a claim attempt on a lease another holder won.
 	ErrHeld = errors.New("grid: lease held")
 	// ErrLost reports a renewal that found the lease stolen or destroyed:
-	// the holder must stop treating the partition as its own.
+	// the holder must stop treating the point as its own.
 	ErrLost = errors.New("grid: lease lost")
 )
 

@@ -1,14 +1,13 @@
 package grid
 
-// Point-granularity leases: the partition lease protocol applied to single
-// grid points. A networked fleet dispatches points, not partitions, so the
-// claim unit shrinks to match — and shrinking it is what delivers work
-// stealing for free: any idle worker may claim an unleased point, and an
-// expired point lease (its holder died or stalled mid-compute) is
-// reclaimable by whoever notices first, exactly as partition leases are.
-// The same fencing tokens bound duplicate holders to one beat interval,
-// and the same purity + last-rename-wins store make the residual overlap
-// harmless: a stolen point at worst computes twice, bit-identically.
+// Point-granularity leases: the lease protocol applied to single grid
+// points. A fleet dispatches points, so the claim unit is one point — and
+// that is what delivers work stealing for free: any idle worker may claim
+// an unleased point, and a point whose holder died or stalled mid-compute
+// is reclaimable by a steal, which installs a fresh fencing token. The
+// tokens bound duplicate holders to one beat interval, and the purity +
+// last-rename-wins store make the residual overlap harmless: a stolen point
+// at worst computes twice, bit-identically.
 
 import (
 	"fmt"

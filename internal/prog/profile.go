@@ -50,6 +50,11 @@
 // golden corpus (internal/sim) pins the walker's instruction stream.
 package prog
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Profile describes one synthetic benchmark: the generation parameters plus
 // the paper-reported characteristics it is calibrated against (Table 2).
 type Profile struct {
@@ -249,4 +254,19 @@ func ProfileByName(name string) (Profile, bool) {
 		}
 	}
 	return Profile{}, false
+}
+
+// ParseProfiles resolves a comma-separated benchmark list such as
+// "gzip, go": each name is trimmed and looked up with ProfileByName. The
+// first unknown name is an error naming it; callers add their own prefix.
+func ParseProfiles(list string) ([]Profile, error) {
+	var ps []Profile
+	for _, name := range strings.Split(list, ",") {
+		p, ok := ProfileByName(strings.TrimSpace(name))
+		if !ok {
+			return nil, fmt.Errorf("unknown benchmark %q", name)
+		}
+		ps = append(ps, p)
+	}
+	return ps, nil
 }

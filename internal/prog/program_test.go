@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"strings"
 	"testing"
 
 	"selthrottle/internal/isa"
@@ -190,5 +191,19 @@ func TestProfileKnobs(t *testing.T) {
 	p.HardFreqOverride = 0.75
 	if p.NoiseScale() != 0.25 || p.HardFreq() != 0.75 {
 		t.Fatal("overrides not honored")
+	}
+}
+
+// TestParseProfiles: the one benchmark-list parser trims names, keeps
+// their order, and names the first unknown one.
+func TestParseProfiles(t *testing.T) {
+	ps, err := ParseProfiles(" gzip,go ")
+	if err != nil || len(ps) != 2 || ps[0].Name != "gzip" || ps[1].Name != "go" {
+		t.Fatalf("ParseProfiles = %v, %v; want gzip, go", ps, err)
+	}
+	for _, bad := range []string{"nope", "gzip,,go", "gzip,nope"} {
+		if _, err := ParseProfiles(bad); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+			t.Errorf("ParseProfiles(%q) error = %v, want unknown benchmark", bad, err)
+		}
 	}
 }

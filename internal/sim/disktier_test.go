@@ -388,14 +388,14 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	b := jitterRand(0, cfg, profiles[1])
 	sameAsB := true
 	for i := 0; i < 64; i++ {
-		ja, jb := jittered(d, a1), jittered(d, a2)
+		ja, jb := Jittered(d, a1), Jittered(d, a2)
 		if ja != jb {
 			t.Fatal("jitter stream is not reproducible")
 		}
 		if ja < d/2 || ja > d {
 			t.Fatalf("jitter %v outside [%v, %v]", ja, d/2, d)
 		}
-		if jittered(d, b) != ja {
+		if Jittered(d, b) != ja {
 			sameAsB = false
 		}
 	}
@@ -420,7 +420,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 		t.Fatalf("first draws %x and %x under identical plans, %x unfaulted", d1, d2, want)
 	}
 	// Degenerate durations pass through untouched.
-	if jittered(1, a1) != 1 || jittered(0, a1) != 0 {
+	if Jittered(1, a1) != 1 || Jittered(0, a1) != 0 {
 		t.Fatal("degenerate backoff mangled")
 	}
 }

@@ -342,7 +342,6 @@ func RunTable1E(ctx context.Context, opts Options) (*Table1Result, error) {
 	}
 	out := &Table1Result{Results: results}
 	n := float64(len(results))
-	params := power.DefaultParams()
 	for _, r := range results {
 		out.TotalWatts += r.AvgPower / n
 		for u := power.Unit(0); u < power.NumUnits; u++ {
@@ -352,7 +351,6 @@ func RunTable1E(ctx context.Context, opts Options) (*Table1Result, error) {
 		out.WastedTotal += r.Power.WastedEnergy / r.Power.TotalEnergy / n
 		for u := power.Unit(0); u < power.NumUnits; u++ {
 			// Recover the run's average utilization from its energy share.
-			_ = params
 			out.Utilization[u] += utilOf(r, u) / n
 		}
 	}

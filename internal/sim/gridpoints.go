@@ -35,8 +35,9 @@ func PointKey(cfg Config, profile prog.Profile) store.Key {
 // EnumerateGrid expands an hpca03 experiment selection (the -exp/-id flag
 // pair) under opts into the unique simulation points it runs, deduplicated
 // by canonical key in first-appearance order. The order and membership are
-// deterministic — pure functions of (exp, id, opts) — so N processes
-// enumerating the same selection partition one identical grid.
+// deterministic — pure functions of (exp, id, opts) — so a fleet
+// coordinator and its workers enumerating the same selection agree on every
+// point's index and on the grid's identity.
 func EnumerateGrid(exp, id string, opts Options) ([]GridPoint, error) {
 	opts = opts.withDefaults()
 	var pts []GridPoint

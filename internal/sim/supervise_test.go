@@ -350,7 +350,7 @@ func waitGoroutines(t *testing.T, before int) {
 func TestNextBackoffSaturatesWithoutOverflow(t *testing.T) {
 	d := DefaultBackoff
 	for i := 0; i < 64; i++ {
-		d = nextBackoff(d)
+		d = NextBackoff(d)
 		if d <= 0 || d > MaxBackoff {
 			t.Fatalf("retry %d: backoff %v escaped (0, %v]", i+1, d, MaxBackoff)
 		}
@@ -358,11 +358,11 @@ func TestNextBackoffSaturatesWithoutOverflow(t *testing.T) {
 	if d != MaxBackoff {
 		t.Fatalf("backoff after 64 doublings = %v, want saturation at %v", d, MaxBackoff)
 	}
-	if got := nextBackoff(MaxBackoff); got != MaxBackoff {
-		t.Fatalf("nextBackoff(MaxBackoff) = %v, want %v", got, MaxBackoff)
+	if got := NextBackoff(MaxBackoff); got != MaxBackoff {
+		t.Fatalf("NextBackoff(MaxBackoff) = %v, want %v", got, MaxBackoff)
 	}
 	// One nanosecond under half the cap is the last value allowed to double.
-	if got := nextBackoff(MaxBackoff/2 - 1); got != MaxBackoff-2 {
-		t.Fatalf("nextBackoff(cap/2-1) = %v, want %v", got, MaxBackoff-2)
+	if got := NextBackoff(MaxBackoff/2 - 1); got != MaxBackoff-2 {
+		t.Fatalf("NextBackoff(cap/2-1) = %v, want %v", got, MaxBackoff-2)
 	}
 }

@@ -125,8 +125,8 @@ func jitterRand(seed uint64, cfg Config, profile prog.Profile) *xrand.Rand {
 	return xrand.New(xrand.Hash2(seed, binary.LittleEndian.Uint64(k[:8])))
 }
 
-// jittered spreads one backoff wait uniformly over [d/2, d].
-func jittered(d time.Duration, rng *xrand.Rand) time.Duration {
+// Jittered spreads one backoff wait uniformly over [d/2, d].
+func Jittered(d time.Duration, rng *xrand.Rand) time.Duration {
 	if d <= 1 {
 		return d
 	}
@@ -142,11 +142,11 @@ func jittered(d time.Duration, rng *xrand.Rand) time.Duration {
 // moment the system is most stressed.
 const MaxBackoff = 30 * time.Second
 
-// nextBackoff doubles a backoff wait, saturating at MaxBackoff. The
+// NextBackoff doubles a backoff wait, saturating at MaxBackoff. The
 // comparison runs BEFORE the multiply — checking the product for overflow
 // after the fact is too late, since signed overflow has already produced
 // an arbitrary (possibly positive) value.
-func nextBackoff(d time.Duration) time.Duration {
+func NextBackoff(d time.Duration) time.Duration {
 	if d >= MaxBackoff/2 {
 		return MaxBackoff
 	}
@@ -194,14 +194,14 @@ func (s *Supervisor) runPoint(ctx context.Context, r *Runner, cfg Config, profil
 		if rng == nil {
 			rng = jitterRand(s.JitterSeed, cfg, profile)
 		}
-		t := time.NewTimer(jittered(backoff, rng))
+		t := time.NewTimer(Jittered(backoff, rng))
 		select {
 		case <-ctx.Done():
 			t.Stop()
 			return Result{}, status
 		case <-t.C:
 		}
-		backoff = nextBackoff(backoff)
+		backoff = NextBackoff(backoff)
 	}
 }
 

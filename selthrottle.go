@@ -169,8 +169,8 @@ func ClearResultCache() { sim.ClearResultCache() }
 
 // SetResultCacheLimit bounds the in-memory tier of the process-wide result
 // cache to n entries (least-recently-used points are evicted past the bound;
-// with a disk store attached they remain one disk read away). n <= 0 restores
-// the default bound. Returns the previous limit.
+// with a disk store attached they remain one disk read away). n <= 0 removes
+// the bound: the tier grows without eviction. Returns the previous limit.
 func SetResultCacheLimit(n int) (previous int) { return sim.SetResultCacheLimit(n) }
 
 // UseDiskStore attaches a crash-safe persistent result store rooted at dir as
