@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"selthrottle/internal/cache"
 	"selthrottle/internal/power"
 	"selthrottle/internal/prog"
 	"selthrottle/internal/sim"
@@ -286,31 +285,6 @@ func BenchmarkWalkerNext(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTLBAccess isolates the fully associative TLB: a mixed stream over
-// a working set about twice the TLB's 128-entry reach, so hits exercise the
-// O(1) recency splice and misses exercise victim eviction. allocs/op guards
-// the hash-index path against per-access allocation.
-func BenchmarkTLBAccess(b *testing.B) {
-	t := cache.NewTLB(128)
-	// Deterministic mixed stream: mostly a hot 64-page set, with excursions
-	// over a 4096-page span that force misses and evictions.
-	addrs := make([]uint64, 8192)
-	state := uint64(0x9E3779B97F4A7C15)
-	for i := range addrs {
-		state = state*6364136223846793005 + 1442695040888963407
-		page := state >> 58 // 0..63: hot set
-		if i%7 == 0 {
-			page = state >> 52 // 0..4095: cold sweep
-		}
-		addrs[i] = page << 12
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Access(addrs[i&8191])
-	}
 }
 
 // BenchmarkDepthSweep measures the Figure 6 grid (12 depths x C2+baseline x

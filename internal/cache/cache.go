@@ -1,8 +1,10 @@
 // Package cache implements the memory-hierarchy substrate: a generic
 // set-associative cache with true-LRU replacement, and the two-level
 // hierarchy of the paper's Table 3 (64 KB 2-way L1 I and D caches with
-// 32-byte lines, a 512 KB 4-way unified L2 with 6-cycle hit and 18-cycle
-// miss latency, and a 128-entry fully associative TLB).
+// 32-byte lines, and a 512 KB 4-way unified L2 with 6-cycle hit and
+// 18-cycle miss latency). Table 3's 128-entry fully associative TLB is a
+// parameter only (Config.TLBEntries): its timing is folded into the cache
+// latencies, so no TLB is modelled and no output depends on one.
 //
 // The caches are access-timing models: Access returns the latency of a
 // reference and updates tag/LRU state. Wrong-path references go through the
@@ -12,32 +14,21 @@
 // # Replacement bookkeeping
 //
 // True LRU is kept in O(1) per reference rather than by ageing every entry
-// on every access:
-//
-//   - Set-associative caches stamp the touched way with a per-cache
-//     monotonic counter; the LRU victim is the valid way with the smallest
-//     stamp. Stamps are unique (the counter never repeats), so the minimum
-//     is exactly the way an age walk would have aged the furthest, and the
-//     victim choice is bit-identical to the historical O(ways) age-rewrite
-//     scheme: first invalid way if any, else the least-recently-touched way.
-//   - The fully associative TLB keeps a page → slot hash index plus an
-//     intrusive doubly-linked recency list threaded through the slots (MRU
-//     at the head, LRU at the tail), so a hit is one map probe and a list
-//     splice instead of a 128-entry tag scan and a 128-entry age rewrite.
-//     While invalid slots remain, misses fill them from the highest index
-//     downward — the exact order the historical last-invalid-wins age walk
-//     produced — and once full the victim is the list tail, the entry a
-//     walk would have found with the maximal age.
+// on every access: each cache stamps the touched way with a per-cache
+// monotonic counter, and the LRU victim is the valid way with the smallest
+// stamp. Stamps are unique (the counter never repeats), so the minimum is
+// exactly the way an age walk would have aged the furthest, and the victim
+// choice is bit-identical to the historical O(ways) age-rewrite scheme:
+// first invalid way if any, else the least-recently-touched way. A way's tag
+// and stamp sit side by side, so probing a set reads one contiguous run of
+// host memory (the L2's four ways fill exactly one 64-byte line).
 //
 // The only behavioural difference from the age-walk scheme is that 32-bit
-// ages saturated after 2^32 set references; the counter and list schemes
-// never saturate. No simulation here approaches that horizon.
+// ages saturated after 2^32 set references; the counter never saturates.
+// No simulation here approaches that horizon.
 package cache
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
@@ -45,13 +36,18 @@ type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
-	tags      []uint64 // sets*ways; 0 means invalid
-	stamp     []uint64 // per-way last-touch timestamp; victim = min over set
-	clock     uint64   // monotonic touch counter (unique stamps)
+	entries   []way  // sets*ways, set-major
+	clock     uint64 // monotonic touch counter (unique stamps)
 
 	// Stats.
 	Accesses uint64
 	Misses   uint64
+}
+
+// way is one cache way: its line tag (0 means invalid) and its last-touch
+// stamp (the set's victim is the valid way with the smallest stamp).
+type way struct {
+	tag, stamp uint64
 }
 
 // New builds a cache. size and lineBytes are in bytes; size must be at least
@@ -79,8 +75,7 @@ func New(name string, size, lineBytes, ways int) *Cache {
 		sets:      sets,
 		ways:      ways,
 		lineShift: shift,
-		tags:      make([]uint64, sets*ways),
-		stamp:     make([]uint64, sets*ways),
+		entries:   make([]way, sets*ways),
 	}
 }
 
@@ -96,8 +91,8 @@ func (c *Cache) set(addr uint64) int {
 func (c *Cache) Probe(addr uint64) bool {
 	base := c.set(addr)
 	tag := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
+	for _, e := range c.entries[base : base+c.ways] {
+		if e.tag == tag {
 			return true
 		}
 	}
@@ -111,35 +106,36 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	base := c.set(addr)
 	tag := c.line(addr)
+	set := c.entries[base : base+c.ways]
 	victim, oldest := -1, ^uint64(0)
 	invalid := -1
-	for w := 0; w < c.ways; w++ {
-		switch t := c.tags[base+w]; {
-		case t == tag:
-			c.touch(base + w)
+	for w := range set {
+		switch e := &set[w]; {
+		case e.tag == tag:
+			c.touch(e)
 			return true
-		case t == 0:
+		case e.tag == 0:
 			if invalid < 0 {
-				invalid = base + w
+				invalid = w
 			}
-		case c.stamp[base+w] < oldest:
-			victim, oldest = base+w, c.stamp[base+w]
+		case e.stamp < oldest:
+			victim, oldest = w, e.stamp
 		}
 	}
 	c.Misses++
 	if invalid >= 0 {
 		victim = invalid
 	}
-	c.tags[victim] = tag
-	c.touch(victim)
+	set[victim].tag = tag
+	c.touch(&set[victim])
 	return false
 }
 
-// touch marks entry i most recently used. Stamps are unique, so min-stamp
-// victim selection is total-order LRU with no tie to break.
-func (c *Cache) touch(i int) {
+// touch marks e most recently used. Stamps are unique, so min-stamp victim
+// selection is total-order LRU with no tie to break.
+func (c *Cache) touch(e *way) {
 	c.clock++
-	c.stamp[i] = c.clock
+	e.stamp = c.clock
 }
 
 // MissRate returns misses/accesses (0 when untouched).
@@ -162,8 +158,7 @@ func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 // Reset invalidates every line and clears statistics without reallocating,
 // restoring the cache to its as-new cold state.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.stamp)
+	clear(c.entries)
 	c.clock = 0
 	c.Accesses, c.Misses = 0, 0
 }
@@ -185,6 +180,9 @@ type Config struct {
 	L2BusyCycles  int
 	MemBusyCycles int
 
+	// TLBEntries is Table 3's TLB size. Table 3 prints it and the result
+	// cache's content address covers it, but no TLB is modelled: the
+	// paper folds translation timing into the cache latencies.
 	TLBEntries int
 }
 
@@ -200,7 +198,7 @@ func Default() Config {
 	}
 }
 
-// Hierarchy is the two-level cache system with a shared L2 and a TLB.
+// Hierarchy is the two-level cache system with a shared L2.
 // Misses contend for the L2 and memory buses: each miss occupies its bus for
 // a configured number of cycles and later misses queue behind it.
 type Hierarchy struct {
@@ -208,7 +206,6 @@ type Hierarchy struct {
 	L1I *Cache
 	L1D *Cache
 	L2  *Cache
-	TLB *TLB
 
 	l2BusFree  int64 // first cycle the L2 bus is free
 	memBusFree int64 // first cycle the memory bus is free
@@ -221,17 +218,15 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		L1I: New("l1i", cfg.L1ISize, cfg.L1ILine, cfg.L1IWays),
 		L1D: New("l1d", cfg.L1DSize, cfg.L1DLine, cfg.L1DWays),
 		L2:  New("l2", cfg.L2Size, cfg.L2Line, cfg.L2Ways),
-		TLB: NewTLB(cfg.TLBEntries),
 	}
 }
 
-// Reset restores the whole hierarchy to its as-new cold state (empty caches
-// and TLB, free buses) without reallocating any table.
+// Reset restores the whole hierarchy to its as-new cold state (empty caches,
+// free buses) without reallocating any table.
 func (h *Hierarchy) Reset() {
 	h.L1I.Reset()
 	h.L1D.Reset()
 	h.L2.Reset()
-	h.TLB.Reset()
 	h.l2BusFree, h.memBusFree = 0, 0
 }
 
@@ -239,7 +234,6 @@ func (h *Hierarchy) Reset() {
 // returns its latency in cycles, plus whether the L2 was accessed (for power
 // accounting).
 func (h *Hierarchy) InstFetch(pc uint64, now int64) (lat int, l2 bool) {
-	h.TLB.Access(pc)
 	// Next-line instruction prefetch, as in every real front end: a fetch
 	// at pc pulls the following line toward the L1I in the background.
 	// Without it, sequential refill misses dominate I-cache behaviour and
@@ -277,7 +271,6 @@ func (h *Hierarchy) prefetchI(pc uint64) {
 // DataAccess performs a load/store at addr at the given cycle and returns
 // its latency plus whether the L2 was accessed.
 func (h *Hierarchy) DataAccess(addr uint64, now int64) (lat int, l2 bool) {
-	h.TLB.Access(addr)
 	if h.L1D.Access(addr) {
 		return h.cfg.L1HitLat, false
 	}
@@ -297,180 +290,4 @@ func (h *Hierarchy) busQueue(busFree *int64, now int64, busy int) int {
 	}
 	*busFree = start + int64(busy)
 	return int(start - now)
-}
-
-// TLB is a fully associative translation buffer with true-LRU replacement
-// over 4 KB pages (Table 3: 128 entries). Its timing effect is folded into
-// cache latencies; it exists for structural fidelity and statistics.
-//
-// Lookup is a hash probe (page → slot) and recency is an intrusive
-// doubly-linked list over the slots, so every access is O(1) instead of the
-// O(entries) tag scan + age rewrite of a naive fully associative model.
-// Victim choice is bit-identical to the age walk: invalid slots fill from
-// the highest index downward, then the list tail (true LRU) is evicted.
-type TLB struct {
-	pages  []uint64 // slot -> page tag; 0 means invalid
-	next   []int32  // recency list: towards LRU
-	prev   []int32  // recency list: towards MRU
-	head   int32    // most recently used slot, -1 when empty
-	tail   int32    // least recently used slot, -1 when empty
-	filled int      // slots holding a valid page; invalid slots are [0, n-filled)
-
-	// Open-addressed page → slot index (linear probing, backward-shift
-	// deletion, power-of-two table at ≤25% load). A probe is one
-	// multiplicative hash and usually a single array read, replacing the
-	// Go-map lookup that dominated the translation fast path.
-	keys   []uint64 // biased page tags; 0 = empty
-	vals   []int32  // slot for the corresponding key
-	hshift uint     // 64 - log2(len(keys))
-
-	// Stats.
-	Accesses uint64
-	Misses   uint64
-}
-
-// NewTLB builds a TLB with n entries.
-func NewTLB(n int) *TLB {
-	if n < 1 {
-		n = 1
-	}
-	tab := 4
-	for tab < 4*n {
-		tab <<= 1
-	}
-	t := &TLB{
-		pages:  make([]uint64, n),
-		next:   make([]int32, n),
-		prev:   make([]int32, n),
-		keys:   make([]uint64, tab),
-		vals:   make([]int32, tab),
-		hshift: 64 - uint(bits.Len(uint(tab-1))),
-	}
-	t.head, t.tail = -1, -1
-	return t
-}
-
-// home returns the preferred probe-table bucket for a page tag.
-func (t *TLB) home(page uint64) uint32 {
-	return uint32((page * 0x9E3779B97F4A7C15) >> t.hshift)
-}
-
-// idxFind returns the TLB slot holding page, if indexed.
-func (t *TLB) idxFind(page uint64) (int32, bool) {
-	mask := uint32(len(t.keys) - 1)
-	for i := t.home(page); ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case page:
-			return t.vals[i], true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
-// idxInsert records page → slot. The page must not already be indexed.
-func (t *TLB) idxInsert(page uint64, slot int32) {
-	mask := uint32(len(t.keys) - 1)
-	i := t.home(page)
-	for t.keys[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.keys[i], t.vals[i] = page, slot
-}
-
-// idxRemove unindexes page, compacting the probe chain by backward-shift
-// deletion (no tombstones): each following entry moves into the hole when
-// doing so does not skip past its home bucket.
-func (t *TLB) idxRemove(page uint64) {
-	mask := uint32(len(t.keys) - 1)
-	i := t.home(page)
-	for t.keys[i] != page {
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		k := t.keys[j]
-		if k == 0 {
-			break
-		}
-		// k (home h) may fill the hole at i only when i lies within its
-		// probe path, i.e. the cyclic distance h→j covers i.
-		if h := t.home(k); (j-h)&mask >= (j-i)&mask {
-			t.keys[i], t.vals[i] = k, t.vals[j]
-			i = j
-		}
-	}
-	t.keys[i] = 0
-}
-
-// Access translates addr (4 KB pages), returning whether it hit.
-func (t *TLB) Access(addr uint64) bool {
-	t.Accesses++
-	page := addr>>12 | 1<<63 // bias so valid entries are never zero
-	if i, ok := t.idxFind(page); ok {
-		t.moveToFront(i)
-		return true
-	}
-	t.Misses++
-	var slot int32
-	if t.filled < len(t.pages) {
-		// Fill invalid slots from the top down, matching the historical
-		// last-invalid-wins victim scan.
-		slot = int32(len(t.pages) - 1 - t.filled)
-		t.filled++
-	} else {
-		slot = t.tail
-		t.unlink(slot)
-		t.idxRemove(t.pages[slot])
-	}
-	t.pages[slot] = page
-	t.idxInsert(page, slot)
-	t.pushFront(slot)
-	return false
-}
-
-// Reset invalidates every entry and clears statistics without reallocating.
-func (t *TLB) Reset() {
-	clear(t.pages)
-	clear(t.keys)
-	t.head, t.tail = -1, -1
-	t.filled = 0
-	t.Accesses, t.Misses = 0, 0
-}
-
-// moveToFront splices slot i to the head of the recency list.
-func (t *TLB) moveToFront(i int32) {
-	if t.head == i {
-		return
-	}
-	t.unlink(i)
-	t.pushFront(i)
-}
-
-// unlink removes slot i from the recency list (i must be linked).
-func (t *TLB) unlink(i int32) {
-	if t.prev[i] >= 0 {
-		t.next[t.prev[i]] = t.next[i]
-	} else {
-		t.head = t.next[i]
-	}
-	if t.next[i] >= 0 {
-		t.prev[t.next[i]] = t.prev[i]
-	} else {
-		t.tail = t.prev[i]
-	}
-}
-
-// pushFront links slot i at the head of the recency list.
-func (t *TLB) pushFront(i int32) {
-	t.prev[i] = -1
-	t.next[i] = t.head
-	if t.head >= 0 {
-		t.prev[t.head] = i
-	}
-	t.head = i
-	if t.tail < 0 {
-		t.tail = i
-	}
 }

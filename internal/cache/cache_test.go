@@ -123,23 +123,6 @@ func TestInstFetchPrefetchesNextLine(t *testing.T) {
 	}
 }
 
-func TestTLB(t *testing.T) {
-	tlb := NewTLB(4)
-	if tlb.Access(0x1000) {
-		t.Fatal("cold TLB hit")
-	}
-	if !tlb.Access(0x1800) {
-		t.Fatal("same-page access missed")
-	}
-	// Fill beyond capacity: LRU page evicted.
-	for i := uint64(1); i <= 4; i++ {
-		tlb.Access(i * 0x10000)
-	}
-	if tlb.Access(0x1000) {
-		t.Fatal("evicted page still hit")
-	}
-}
-
 func TestCacheInvariantNoFalseHits(t *testing.T) {
 	// Property: an address never accessed in a fresh cache never hits.
 	err := quick.Check(func(addrs []uint32) bool {

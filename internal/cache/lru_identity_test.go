@@ -2,13 +2,12 @@ package cache
 
 import "testing"
 
-// This file regression-tests the O(1) LRU structures against the historical
-// O(n) age-walk implementations they replaced: the set-associative cache's
-// per-access age rewrite and the TLB's full-table scan. The references below
-// are verbatim ports of the replaced code; randomized access streams must
-// produce identical hit/miss sequences (and therefore identical victim
-// choices — a divergent eviction surfaces as a later hit/miss divergence,
-// and the final-state probes catch the rest).
+// This file regression-tests the set-associative cache's O(1) timestamp LRU
+// against the historical O(ways) per-access age rewrite it replaced. The
+// reference below is a verbatim port of the replaced code; randomized access
+// streams must produce identical hit/miss sequences (and therefore identical
+// victim choices — a divergent eviction surfaces as a later hit/miss
+// divergence, and the final-state probes catch the rest).
 
 // refCache is the historical age-walk set-associative cache.
 type refCache struct {
@@ -63,50 +62,6 @@ func (c *refCache) touch(base, w int) {
 	c.age[base+w] = 0
 }
 
-// refTLB is the historical age-walk fully associative TLB.
-type refTLB struct {
-	pages    []uint64
-	age      []uint32
-	Accesses uint64
-	Misses   uint64
-}
-
-func newRefTLB(n int) *refTLB {
-	return &refTLB{pages: make([]uint64, n), age: make([]uint32, n)}
-}
-
-func (t *refTLB) Access(addr uint64) bool {
-	t.Accesses++
-	page := addr>>12 | 1<<63
-	victim, worst := 0, uint32(0)
-	for i := range t.pages {
-		if t.pages[i] == page {
-			t.touch(i)
-			return true
-		}
-		if t.pages[i] == 0 {
-			victim, worst = i, ^uint32(0)
-			continue
-		}
-		if t.age[i] >= worst && worst != ^uint32(0) {
-			victim, worst = i, t.age[i]
-		}
-	}
-	t.Misses++
-	t.pages[victim] = page
-	t.touch(victim)
-	return false
-}
-
-func (t *refTLB) touch(i int) {
-	for j := range t.age {
-		if t.age[j] < ^uint32(0) {
-			t.age[j]++
-		}
-	}
-	t.age[i] = 0
-}
-
 // splitmix is a tiny deterministic generator for the randomized streams.
 func splitmix(state *uint64) uint64 {
 	*state += 0x9E3779B97F4A7C15
@@ -157,60 +112,10 @@ func TestCacheVictimChoiceMatchesAgeWalk(t *testing.T) {
 				t.Fatalf("stats diverged: %d/%d vs %d/%d", c.Accesses, c.Misses, ref.Accesses, ref.Misses)
 			}
 			for i, tag := range ref.tags {
-				if c.tags[i] != tag {
+				if c.entries[i].tag != tag {
 					t.Fatalf("final tag state diverged at way %d", i)
 				}
 			}
 		})
-	}
-}
-
-func TestTLBVictimChoiceMatchesAgeWalk(t *testing.T) {
-	for _, entries := range []int{4, 32, 128} {
-		tl := NewTLB(entries)
-		ref := newRefTLB(entries)
-		// Page-granular stream: hot pages churn the recency order, cold
-		// pages force evictions through the full table.
-		state := uint64(entries) * 0xABCD
-		for i := 0; i < 300000; i++ {
-			r := splitmix(&state)
-			var addr uint64
-			if r%5 < 3 {
-				addr = (r % uint64(entries)) << 12 // within-reach hot pages
-			} else {
-				addr = (r % uint64(8*entries)) << 12 // beyond-reach sweep
-			}
-			if got, want := tl.Access(addr), ref.Access(addr); got != want {
-				t.Fatalf("entries=%d access %d (page %#x): list-LRU %v, age-walk %v", entries, i, addr>>12, got, want)
-			}
-		}
-		if tl.Accesses != ref.Accesses || tl.Misses != ref.Misses {
-			t.Fatalf("entries=%d stats diverged: %d/%d vs %d/%d",
-				entries, tl.Accesses, tl.Misses, ref.Accesses, ref.Misses)
-		}
-		// Final resident sets must be identical (slot-for-slot: the fill
-		// order and victim choices are reproduced exactly).
-		for i := range tl.pages {
-			if tl.pages[i] != ref.pages[i] {
-				t.Fatalf("entries=%d final page state diverged at slot %d", entries, i)
-			}
-		}
-	}
-}
-
-func TestTLBResetRestoresColdState(t *testing.T) {
-	tl := NewTLB(8)
-	var first []bool
-	for i := 0; i < 64; i++ {
-		first = append(first, tl.Access(uint64(i%12)<<12))
-	}
-	tl.Reset()
-	if tl.Accesses != 0 || tl.Misses != 0 {
-		t.Fatal("reset kept statistics")
-	}
-	for i := 0; i < 64; i++ {
-		if got := tl.Access(uint64(i%12) << 12); got != first[i] {
-			t.Fatalf("replay after reset diverged at access %d", i)
-		}
 	}
 }

@@ -33,26 +33,6 @@ type ProcFaults struct {
 	LeaseENOSPC bool
 }
 
-// Zero reports whether no process fault is armed.
-func (p ProcFaults) Zero() bool {
-	return p.KillAfterPoints == 0 && p.FreezeAfterPoints == 0 && !p.LeaseENOSPC
-}
-
-// String renders the spec in the form ParseProcFaults accepts.
-func (p ProcFaults) String() string {
-	var parts []string
-	if p.KillAfterPoints > 0 {
-		parts = append(parts, fmt.Sprintf("kill-after=%d", p.KillAfterPoints))
-	}
-	if p.FreezeAfterPoints > 0 {
-		parts = append(parts, fmt.Sprintf("freeze-after=%d", p.FreezeAfterPoints))
-	}
-	if p.LeaseENOSPC {
-		parts = append(parts, "lease-enospc")
-	}
-	return strings.Join(parts, ",")
-}
-
 // ParseProcFaults decodes a spec like "kill-after=3,lease-enospc" or
 // "freeze-after=2". The empty string is the zero (no-fault) spec.
 func ParseProcFaults(spec string) (ProcFaults, error) {

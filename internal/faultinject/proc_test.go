@@ -23,18 +23,10 @@ func TestParseProcFaults(t *testing.T) {
 		if got != c.want {
 			t.Errorf("ParseProcFaults(%q) = %+v, want %+v", c.spec, got, c.want)
 		}
-		// String round-trips back to an equivalent spec.
-		rt, err := ParseProcFaults(got.String())
-		if err != nil || rt != got {
-			t.Errorf("round-trip %q -> %q -> %+v (err %v)", c.spec, got.String(), rt, err)
-		}
 	}
 	for _, bad := range []string{"kill-after=0", "kill-after=x", "freeze-after=-1", "nonsense", "kill-after"} {
 		if _, err := ParseProcFaults(bad); err == nil {
 			t.Errorf("ParseProcFaults(%q) accepted", bad)
 		}
-	}
-	if !(ProcFaults{}).Zero() || (ProcFaults{FreezeAfterPoints: 1}).Zero() {
-		t.Error("Zero misclassifies")
 	}
 }

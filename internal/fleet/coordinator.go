@@ -501,7 +501,9 @@ func (c *coordinator) dispatchPoint(ctx context.Context, idx, perWorker int) {
 }
 
 // attemptWithHedge issues one attempt on wk, hedging onto a second worker
-// if the first is still unanswered after the straggler threshold. The
+// if the first is still unanswered after the straggler threshold; while
+// every other healthy worker is at its cap, or the pick was a breaker
+// probe, it tries again each threshold interval. The
 // hedge goes out with steal=1: if it lands first, its lease claim fences
 // the straggler off (the straggler's heartbeat sees ErrLost and cancels).
 // First outcome wins; the loser's request context is canceled and its
@@ -552,7 +554,7 @@ func (c *coordinator) attemptWithHedge(ctx context.Context, wk *worker, idx int,
 		select {
 		case <-hedgeC:
 			hedgeC = nil
-			hw, probe, _ := c.pick(wk, perWorker)
+			hw, probe, busy := c.pick(wk, perWorker)
 			if hw == nil || probe {
 				if probe {
 					// Don't burn the probe grant on a hedge; resolve it
@@ -562,6 +564,12 @@ func (c *coordinator) attemptWithHedge(ctx context.Context, wk *worker, idx int,
 						err := probeCall(ctx, c.hc, w.base, w.name, c.pointTimeout/4)
 						w.breaker.Record(err == nil, true)
 					}(hw)
+				}
+				if busy || probe {
+					// A slot may free up, or the probe close the breaker,
+					// long before the primary's deadline: try again.
+					hedgeTimer.Reset(c.hedgeAfter)
+					hedgeC = hedgeTimer.C
 				}
 				continue
 			}

@@ -238,6 +238,67 @@ func TestFleetRunHedgesStraggler(t *testing.T) {
 	}
 }
 
+// TestFleetRunHedgesWhenSlotFrees: the primary worker is wedged, and when
+// the hedge threshold first passes the only other worker is at its cap,
+// busy with the grid's other point. The hedge must go out once that worker
+// frees its slot, so the point finishes long before the wedged request's
+// deadline instead of waiting it out.
+func TestFleetRunHedgesWhenSlotFrees(t *testing.T) {
+	st, dir := attachTestStore(t)
+	leases, err := grid.NewManager(dir, nil, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(6180)
+	pts := specPoints(t, spec)
+	if len(pts) != 2 {
+		t.Fatalf("test grid has %d points, want 2 (one per worker)", len(pts))
+	}
+	wedged := fleetWorker(t, &ComputeServer{Leases: leases, Owner: "w-wedged"})
+	busy := fleetWorker(t, &ComputeServer{Leases: leases, Owner: "w-busy"})
+	wedgedHost, _ := url.Parse(wedged.URL)
+	busyHost, _ := url.Parse(busy.URL)
+	// With one slot per worker, the first point goes to the wedged worker
+	// and never comes back; the second goes to the other worker, whose
+	// first answer is held for several hedge intervals.
+	nf := faultinject.NewNetFaults(nil,
+		faultinject.NetFault{Kind: faultinject.NetBlackhole, Match: wedgedHost.Host + "/v1/compute"},
+		faultinject.NetFault{Kind: faultinject.NetDelay, Match: busyHost.Host + "/v1/compute", Delay: 500 * time.Millisecond, Once: true},
+	)
+
+	const pointTimeout = 10 * time.Second
+	start := time.Now()
+	rep, err := Run(context.Background(), Options{
+		Workers:      []string{wedged.URL, busy.URL},
+		Spec:         spec,
+		Points:       pts,
+		Transport:    nf,
+		PointTimeout: pointTimeout,
+		HedgeAfter:   100 * time.Millisecond,
+		PerWorker:    1,
+		Leases:       leases,
+		Owner:        "coord-test",
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Remote != len(pts) || rep.Failed != 0 {
+		t.Fatalf("report = %+v, want all %d points remote", rep, len(pts))
+	}
+	if rep.Hedges < 1 || rep.RetriesUsed != 0 {
+		t.Fatalf("report = %+v, want the wedged point hedged on its first attempt", rep)
+	}
+	if elapsed > pointTimeout/2 {
+		t.Fatalf("grid took %v, want well inside the %v point timeout", elapsed, pointTimeout)
+	}
+	for _, pt := range pts {
+		if k := pt.Key(); !st.Has(k) {
+			t.Fatalf("point %x not published", k[:6])
+		}
+	}
+}
+
 // TestFleetRunBreakerCycle: consecutive transport failures open the one
 // worker's breaker; once the open interval elapses, a /readyz probe closes
 // it and dispatch resumes remotely — open → half-open → closed, observed

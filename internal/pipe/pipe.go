@@ -182,34 +182,47 @@ func (c *Config) SetDepth(total int) {
 func (c *Config) Depth() int { return c.FetchStages + c.DecodeStages + 4 }
 
 // inst is one in-flight dynamic instruction.
+//
+// Field order is a host-memory layout: the fields a stage reads every cycle
+// or every instruction come right after d, so they share the record's first
+// two host cache lines; fields only branches, stalled loads or diagnostics
+// read sit at the end. TestInstLayout pins the size and that boundary.
 type inst struct {
 	d prog.DynInst
-
-	// Branch prediction state.
-	predTaken bool
-	cookie    uint64
-	ctr       bpred.Counter2
-	class     conf.Class
-
-	// Selection throttling.
-	barrier    uint64
-	hasBarrier bool
 
 	// Pipeline timing.
 	enterDecode int64 // cycle at which decode may process it
 	enterWindow int64 // cycle at which dispatch may insert it
 
-	// srcs holds producers still in flight (nil = operand ready). Producers
-	// are pool-recycled at commit, so each pointer is guarded by the
-	// producer's sequence number captured at rename: a mismatch means the
-	// producer retired and its slot was reused, i.e. the operand is ready.
-	srcs   [2]*inst
-	srcSeq [2]uint64
+	// epoch is the ring slot of the speculation epoch this instruction was
+	// fetched in (see ledger.go); every activity event the instruction
+	// causes is attributed to that epoch's ledger. Slots are stable while an
+	// epoch is open, and an instruction can never touch its ledger after the
+	// epoch closes (fold implies this instruction was squashed; retirement
+	// implies it committed).
+	epoch int32
 
 	// wpos is the window ring slot this instruction occupies while
 	// dispatched (slots are stable for a resident instruction); it indexes
 	// the ready bitmap.
 	wpos int32
+
+	issued     bool
+	done       bool
+	squashed   bool
+	hasBarrier bool // barrier below is valid (selection throttling)
+
+	// The memory-op flags here and fuKind and execLat below cache the
+	// static instruction's load/store classification, functional-unit
+	// class, and execution latency (base latency plus the configured
+	// ExtraExecLat), written once at decode so the issue, execute,
+	// dispatch, and commit stages stop re-deriving them from the opcode
+	// tables on every visit — a ready instruction skipped for structural
+	// reasons is re-examined every cycle. Valid from decode onward (no
+	// earlier stage reads them).
+	memOp   bool // isa.Op.IsMem()
+	loadOp  bool // == isa.OpLoad
+	storeOp bool // == isa.OpStore
 
 	// nwait counts bound producers that have not completed yet. Dispatch
 	// sets it to the number of bound sources; each
@@ -219,6 +232,21 @@ type inst struct {
 	// which CheckInvariants cross-validates against the pointer-chasing
 	// ready() below.
 	nwait uint8
+
+	fuKind  uint8 // functional-unit class (cached at decode, see memOp)
+	execLat int16 // execution latency (cached at decode, see memOp)
+
+	// Branch prediction state.
+	predTaken bool
+	ctr       bpred.Counter2
+	class     conf.Class
+
+	// srcs holds producers still in flight (nil = operand ready). Producers
+	// are pool-recycled at commit, so each pointer is guarded by the
+	// producer's sequence number captured at rename: a mismatch means the
+	// producer retired and its slot was reused, i.e. the operand is ready.
+	srcs   [2]*inst
+	srcSeq [2]uint64
 
 	// deps lists the window-resident consumers waiting on this
 	// instruction's result; completion walks it to wake newly-ready
@@ -235,34 +263,14 @@ type inst struct {
 	// walk — no reset across recycling is needed.
 	blockRef instRef
 
-	issued   bool
-	done     bool
-	squashed bool
+	barrier uint64 // selection-throttling barrier (valid when hasBarrier)
+	cookie  uint64 // predictor update cookie (conditional branches)
 
-	// fuKind, execLat, and the memory-op flags cache the static
-	// instruction's functional-unit class, execution latency (base latency
-	// plus the configured ExtraExecLat), and load/store classification,
-	// written once at decode so the issue, execute, dispatch, and commit
-	// stages stop re-deriving them from the opcode tables on every visit —
-	// a ready instruction skipped for structural reasons is re-examined
-	// every cycle. Valid from decode onward (no earlier stage reads them).
-	fuKind  uint8
-	execLat int16
-	memOp   bool // isa.Op.IsMem()
-	loadOp  bool // == isa.OpLoad
-	storeOp bool // == isa.OpStore
-
-	fetchCycle  int64 // diagnostics: when fetched
-	windowCycle int64 // diagnostics: when dispatched into the window
-	issueCycle  int64 // diagnostics: when issued
-
-	// epoch is the ring slot of the speculation epoch this instruction was
-	// fetched in (see ledger.go); every activity event the instruction
-	// causes is attributed to that epoch's ledger. Slots are stable while an
-	// epoch is open, and an instruction can never touch its ledger after the
-	// epoch closes (fold implies this instruction was squashed; retirement
-	// implies it committed).
-	epoch int32
+	// Cycle stamps, read only by branch resolution's latency statistics
+	// and by RunError snapshots.
+	fetchCycle  int64 // when fetched
+	windowCycle int64 // when dispatched into the window
+	issueCycle  int64 // when issued
 }
 
 // instRef is a pool-safe reference to a dynamic instruction: the pointer is

@@ -13,7 +13,7 @@
 //   - internal/prog: synthetic SPECint-like workload substrate (Table 2)
 //   - internal/bpred: gshare / bimodal predictors, BTB, RAS
 //   - internal/conf: JRS and BPRU-style confidence estimation (§4.3)
-//   - internal/cache: L1/L2/TLB hierarchy with bus contention (Table 3)
+//   - internal/cache: L1/L2 cache hierarchy with bus contention (Table 3)
 //   - internal/pipe: the 8-wide out-of-order core, 6-28 stage front end
 //   - internal/power: Wattch cc3-style per-unit power accounting (Table 1)
 //   - internal/core: Selective Throttling policies, Pipeline Gating, oracles
