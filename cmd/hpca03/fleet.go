@@ -2,7 +2,7 @@ package main
 
 // Fleet mode (-workers N, -fleet host1,host2): dispatch the selected
 // experiment grid to compute workers over HTTP first, then fall through to
-// the normal in-process dispatch — which now runs over the warm store and
+// the normal in-process report — which now runs over the warm store and
 // the injected result cache, serving fleet-published points without
 // recomputing. -workers N starts N local stworker processes on loopback
 // for the run and adds them to the -fleet list, so both kinds of worker go
@@ -51,22 +51,19 @@ const (
 	workerGrace        = 2 * time.Second
 )
 
-// runFleet drains the grid through the local and remote workers. Setup
-// failures (bad flags, unreachable store) are errors; workers that fail to
-// start, die or stop answering are not — the coordinator degrades to
-// local compute and the in-process dispatch remains the floor.
-// Interruption is left to the caller's ctx handling.
-func runFleet(ctx context.Context, f fleetFlags, storeDir, exp, id, bench string, opts sim.Options) error {
+// runFleet drains the grid through the local and remote workers, local
+// worker i armed with faults[i]. Setup failures (an unusable lease
+// directory) are errors; workers that fail to start, die or stop answering
+// are not — the coordinator degrades to local compute and the in-process
+// report remains the floor. Interruption is left to the caller's ctx
+// handling.
+func runFleet(ctx context.Context, f fleetFlags, faults map[int]string, storeDir, exp, id, bench string, opts sim.Options) error {
 	points, err := sim.EnumerateGrid(exp, id, opts)
 	if err != nil {
 		return err
 	}
 	if len(points) == 0 {
 		return nil // nothing to dispatch (e.g. -exp table3), so no workers either
-	}
-	faults, err := workerFaults(f.workerFault, f.workers)
-	if err != nil {
-		return err
 	}
 	leases, err := grid.NewManager(storeDir, nil, f.leaseTTL)
 	if err != nil {

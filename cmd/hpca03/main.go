@@ -15,7 +15,12 @@
 // over the filled store. -worker-bin, -worker-fault, -lease-ttl,
 // -point-timeout, -hedge-after and -breaker-open tune that dispatch.
 //
-// Experiments:
+// Usage errors (an unknown experiment, id or benchmark, -depth or -kb out
+// of range, -workers or -fleet without -store, a bad -worker-fault) exit 2
+// with one message before the run creates anything: no profile file, store
+// directory or worker.
+//
+// Experiments (the report catalogue, internal/sim/report.go):
 //
 //	table1   power breakdown + fraction wasted by mis-speculated instructions
 //	table2   benchmark characteristics (gshare miss rates vs paper)
@@ -69,7 +74,6 @@ func run() int {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	storeDir := flag.String("store", "", "persistent result store directory (crash-safe disk cache tier; empty = memory only)")
 	cacheEntries := flag.Int("cache-entries", sim.DefaultCacheEntries, "in-memory result cache entry cap (0 = unbounded)")
-	quarWarn := flag.Int("quarantine-warn", 0, "warn once when the store holds more than this many quarantined files (0 = off)")
 	var ff fleetFlags
 	flag.IntVar(&ff.workers, "workers", 0, "start this many local stworker processes over -store and dispatch the grid to them (0 = in-process)")
 	flag.StringVar(&ff.workerBin, "worker-bin", "", "stworker binary path (default: next to this binary)")
@@ -80,10 +84,42 @@ func run() int {
 	flag.DurationVar(&ff.hedgeAfter, "hedge-after", 0, "fleet straggler threshold before hedging a request (0 = derived; negative disables)")
 	flag.DurationVar(&ff.breakerOpen, "breaker-open", 0, "fleet circuit-breaker open interval before a readiness probe (0 = default)")
 	flag.Parse()
-	if err := sim.CheckDepthKB(*depth, *kb); err != nil {
+	// Usage errors exit 2, one message each, before the run creates
+	// anything: a profile file, the store directory or a worker.
+	usage := func(err error) int {
 		fmt.Fprintf(os.Stderr, "hpca03: %v\n", err)
 		return 2
 	}
+	if err := sim.CheckDepthKB(*depth, *kb); err != nil {
+		return usage(err)
+	}
+	if err := sim.CheckSelection(*exp, *id); err != nil {
+		return usage(err)
+	}
+	opts := sim.Options{Instructions: *n, Warmup: *warmup, Depth: *depth}.WithKB(*kb)
+	if *bench != "" {
+		ps, err := prog.ParseProfiles(*bench)
+		if err != nil {
+			return usage(err)
+		}
+		opts.Profiles = ps
+	}
+	fleetMode := ff.workers > 0 || ff.hosts != ""
+	var faults map[int]string
+	if fleetMode {
+		if *storeDir == "" {
+			name := "-fleet"
+			if ff.workers > 0 {
+				name = "-workers"
+			}
+			return usage(fmt.Errorf("%s requires -store", name))
+		}
+		var err error
+		if faults, err = workerFaults(ff.workerFault, ff.workers); err != nil {
+			return usage(err)
+		}
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -132,12 +168,6 @@ func run() int {
 		} else {
 			fmt.Fprintf(os.Stderr, "hpca03: result store %s: %d entries\n", *storeDir, held)
 		}
-		if st := sim.DiskStore(); st != nil && *quarWarn > 0 {
-			st.SetQuarantineWarn(*quarWarn, func(files int) {
-				fmt.Fprintf(os.Stderr, "hpca03: store quarantine holds %d files (threshold %d); inspect %s\n",
-					files, *quarWarn, *storeDir)
-			})
-		}
 	}
 
 	// SIGINT/SIGTERM cancels the grid cooperatively: in-flight points stop at
@@ -146,47 +176,23 @@ func run() int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stopSignals()
 
-	opts := sim.Options{
-		Instructions: *n,
-		Warmup:       *warmup,
-		Depth:        *depth,
-		PredBytes:    *kb * 1024 / 2,
-		ConfBytes:    *kb * 1024 / 2,
-	}
-	if *bench != "" {
-		ps, err := prog.ParseProfiles(*bench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpca03: %v\n", err)
-			return 2
-		}
-		opts.Profiles = ps
-	}
-
 	// Fleet mode: dispatch the grid to local (-workers) and remote (-fleet)
-	// workers first, then fall through to the normal dispatch — which now
-	// runs over the warm store and the injected results, computing only
-	// what the fleet could not. Same code path, same bytes out.
-	if ff.workers > 0 || ff.hosts != "" {
-		if *storeDir == "" {
-			name := "-fleet"
-			if ff.workers > 0 {
-				name = "-workers"
-			}
-			fmt.Fprintf(os.Stderr, "hpca03: %s requires -store\n", name)
-			return 2
-		}
-		if err := runFleet(ctx, ff, *storeDir, *exp, *id, *bench, opts); err != nil {
+	// workers first, then fall through to the report — which now runs over
+	// the warm store and the injected results, computing only what the
+	// fleet could not. Same code path, same bytes out.
+	if fleetMode {
+		if err := runFleet(ctx, ff, faults, *storeDir, *exp, *id, *bench, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "hpca03: fleet: %v\n", err)
 			return 2
 		}
 	}
 
 	// The report goes through one buffer, flushed after every table,
-	// figure and sweep block (see dispatch) and once more here, whichever
-	// way dispatch ended: normally, through Guard's recovery, or cut short
-	// by SIGINT. A write error sticks to the buffer, so this last flush
-	// reports any the block flushes met. The deferred flush covers a panic
-	// Guard re-raises.
+	// figure and sweep block (see sim.WriteReport) and once more here,
+	// whichever way the report ended: normally, through Guard's recovery,
+	// or cut short by SIGINT. A write error sticks to the buffer, so this
+	// last flush reports any the block flushes met. The deferred flush
+	// covers a panic Guard re-raises.
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 
@@ -194,8 +200,18 @@ func run() int {
 	// run hitting a terminal simulator failure) into a diagnostic snapshot
 	// on stderr and a nonzero exit, instead of a raw panic trace killing the
 	// process mid-report; supervised figure grids isolate failures per point
-	// and report them via runFigure below.
-	code := sim.Guard(os.Stderr, "hpca03", func() int { return dispatch(ctx, out, *exp, *id, opts) })
+	// and print them as FAILED lines.
+	code := sim.Guard(os.Stderr, "hpca03", func() int {
+		failed, err := sim.WriteReport(ctx, out, os.Stderr, *exp, *id, opts)
+		if err != nil {
+			return usage(err)
+		}
+		if failed > 0 {
+			fmt.Fprintf(os.Stderr, "hpca03: %d grid point(s) failed; healthy points reported above\n", failed)
+			return 1
+		}
+		return 0
+	})
 	if err := out.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "hpca03: writing the report: %v\n", err)
 		if code == 0 {
@@ -209,147 +225,4 @@ func run() int {
 		}
 	}
 	return code
-}
-
-// dispatch runs the selected experiment(s), writing the report to out, and
-// returns the process exit code: 0 on full success, 1 when any supervised
-// grid point failed, 2 on usage errors. Every table, figure and sweep
-// helper flushes out once its block is written, so an interrupted run shows
-// every finished block.
-func dispatch(ctx context.Context, out *bufio.Writer, exp, id string, opts sim.Options) int {
-	failed := 0
-	switch exp {
-	case "table1":
-		failed += runTable1(ctx, out, opts)
-	case "table2":
-		failed += runTable2(ctx, out, opts)
-	case "table3":
-		writeTable3(out)
-	case "fig1":
-		failed += runFigure(ctx, out, "Figure 1: oracle fetch/decode/select", sim.OracleExperiments(), opts)
-	case "fig3":
-		failed += runFigure(ctx, out, "Figure 3: fetch throttling", sim.FetchExperiments(), opts)
-	case "fig4":
-		failed += runFigure(ctx, out, "Figure 4: decode throttling", sim.DecodeExperiments(), opts)
-	case "fig5":
-		failed += runFigure(ctx, out, "Figure 5: selection throttling", sim.SelectionExperiments(), opts)
-	case "fig6":
-		failed += writeSweep(out, "Figure 6: pipeline depth (experiment C2)", "stages", sim.DepthSweepE(ctx, opts, nil))
-	case "fig7":
-		failed += writeSweep(out, "Figure 7: predictor+estimator size (experiment C2)", "KB", sim.SizeSweepE(ctx, opts, nil))
-	case "conf":
-		failed += runConfidence(ctx, out, opts)
-	case "ablation":
-		failed += runFigure(ctx, out, "Ablation: estimator x mechanism cross", sim.EstimatorCrossExperiments(), opts)
-		fmt.Fprintln(out)
-		failed += runFigure(ctx, out, "Ablation: Pipeline Gating threshold sweep", sim.GateThresholdExperiments(), opts)
-		fmt.Fprintln(out)
-		failed += runFigure(ctx, out, "Ablation: C2 per-class contributions", sim.EscalationAblationExperiments(), opts)
-	case "run":
-		e, ok := sim.ExperimentByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "hpca03: unknown experiment id %q\n", id)
-			return 2
-		}
-		failed += runFigure(ctx, out, "Experiment "+e.ID+": "+e.Label, []sim.Experiment{e}, opts)
-	case "all":
-		writeTable3(out)
-		fmt.Fprintln(out)
-		failed += runTable2(ctx, out, opts)
-		fmt.Fprintln(out)
-		failed += runTable1(ctx, out, opts)
-		fmt.Fprintln(out)
-		failed += runConfidence(ctx, out, opts)
-		fmt.Fprintln(out)
-		failed += runFigure(ctx, out, "Figure 1: oracle fetch/decode/select", sim.OracleExperiments(), opts)
-		fmt.Fprintln(out)
-		failed += runFigure(ctx, out, "Figure 3: fetch throttling", sim.FetchExperiments(), opts)
-		fmt.Fprintln(out)
-		failed += runFigure(ctx, out, "Figure 4: decode throttling", sim.DecodeExperiments(), opts)
-		fmt.Fprintln(out)
-		failed += runFigure(ctx, out, "Figure 5: selection throttling", sim.SelectionExperiments(), opts)
-		fmt.Fprintln(out)
-		failed += writeSweep(out, "Figure 6: pipeline depth (experiment C2)", "stages", sim.DepthSweepE(ctx, opts, nil))
-		fmt.Fprintln(out)
-		failed += writeSweep(out, "Figure 7: predictor+estimator size (experiment C2)", "KB", sim.SizeSweepE(ctx, opts, nil))
-	default:
-		fmt.Fprintf(os.Stderr, "hpca03: unknown experiment %q\n", exp)
-		return 2
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "hpca03: %d grid point(s) failed; healthy points reported above\n", failed)
-		return 1
-	}
-	return 0
-}
-
-// writeTable3 writes the static configuration table.
-func writeTable3(out *bufio.Writer) {
-	sim.WriteTable3(out, sim.Default())
-	out.Flush()
-}
-
-// runTable1 reproduces Table 1 under ctx; the table is all-or-nothing, so a
-// failed point (or cancellation) prints its diagnostic and counts as one
-// failure without printing a partial table.
-func runTable1(ctx context.Context, out *bufio.Writer, opts sim.Options) int {
-	t1, err := sim.RunTable1E(ctx, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILED table1: %v\n", err)
-		return 1
-	}
-	sim.WriteTable1(out, t1)
-	out.Flush()
-	return 0
-}
-
-// runTable2 reproduces Table 2 under ctx, all-or-nothing like runTable1.
-func runTable2(ctx context.Context, out *bufio.Writer, opts sim.Options) int {
-	rows, err := sim.RunTable2E(ctx, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILED table2: %v\n", err)
-		return 1
-	}
-	sim.WriteTable2(out, rows)
-	out.Flush()
-	return 0
-}
-
-// runConfidence measures the estimator operating points under ctx,
-// all-or-nothing like the tables.
-func runConfidence(ctx context.Context, out *bufio.Writer, opts sim.Options) int {
-	crs, err := sim.RunConfidenceE(ctx, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILED confidence: %v\n", err)
-		return 1
-	}
-	sim.WriteConfidence(out, crs)
-	out.Flush()
-	return 0
-}
-
-// runFigure runs one supervised figure grid under ctx, prints the healthy
-// results to out and any per-point failure diagnostics to stderr, and
-// returns the number of failed points.
-func runFigure(ctx context.Context, out *bufio.Writer, name string, exps []sim.Experiment, opts sim.Options) int {
-	fr := sim.RunFigureE(ctx, name, exps, opts)
-	sim.WriteFigure(out, fr)
-	out.Flush()
-	fr.WriteFailures(os.Stderr)
-	return len(fr.Failures)
-}
-
-// writeSweep prints any per-point failures a sweep isolated to stderr, then
-// the sweep to out, and returns the number of failed points.
-func writeSweep(out *bufio.Writer, title, unit string, points []sim.SweepPoint) int {
-	failed := 0
-	for _, pt := range points {
-		for _, f := range pt.Failures {
-			fmt.Fprintf(os.Stderr, "FAILED %s\n", f)
-			failed++
-		}
-	}
-	sim.WriteSweep(out, title, unit, points)
-	out.Flush()
-	return failed
 }

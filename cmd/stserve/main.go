@@ -45,7 +45,6 @@ func run() int {
 		retries = flag.Int("retries", 1, "per-point retry budget for transient failures")
 		storeD  = flag.String("store", "", "persistent result store directory (empty = memory tier only)")
 		entries = flag.Int("cache-entries", sim.DefaultCacheEntries, "in-memory result cache entry cap (0 = unbounded)")
-		qWarn   = flag.Int("quarantine-warn", 0, "warn once when the store holds more than this many quarantined files (0 = off)")
 		ttl     = flag.Duration("lease-ttl", grid.DefaultTTL, "point-lease expiry horizon for /v1/compute (must match the fleet's)")
 	)
 	flag.Parse()
@@ -62,16 +61,6 @@ func run() int {
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "stserve: result store %s: %d entries\n", *storeD, held)
-		// Quarantine growth is the store absorbing corruption instead of
-		// failing; a climbing count means something is feeding it (bad disk,
-		// torn writers). /statsz reports the count continuously; this logs
-		// once when it crosses the threshold.
-		if st := sim.DiskStore(); st != nil && *qWarn > 0 {
-			st.SetQuarantineWarn(*qWarn, func(files int) {
-				fmt.Fprintf(os.Stderr, "stserve: store quarantine holds %d files (threshold %d); inspect %s\n",
-					files, *qWarn, *storeD)
-			})
-		}
 	}
 
 	opts := sim.Options{Instructions: *n, Warmup: *warmup}

@@ -212,8 +212,7 @@ func (s *server) optionsFrom(q url.Values) (sim.Options, error) {
 			return opts, fmt.Errorf("bad kb %q (want 1..1024)", v)
 		}
 		kb = k
-		opts.PredBytes = k * 1024 / 2
-		opts.ConfBytes = k * 1024 / 2
+		opts = opts.WithKB(k)
 	}
 	if err := sim.CheckDepthKB(depth, kb); err != nil {
 		return opts, err
@@ -341,21 +340,6 @@ func (s *server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// figures maps /v1/figure names onto the paper's experiment series.
-func figures(name string) ([]sim.Experiment, string, bool) {
-	switch name {
-	case "fig1":
-		return sim.OracleExperiments(), "Figure 1: oracle fetch/decode/select", true
-	case "fig3":
-		return sim.FetchExperiments(), "Figure 3: fetch throttling", true
-	case "fig4":
-		return sim.DecodeExperiments(), "Figure 4: decode throttling", true
-	case "fig5":
-		return sim.SelectionExperiments(), "Figure 5: selection throttling", true
-	}
-	return nil, "", false
-}
-
 // figureResponse is /v1/figure's body.
 type figureResponse struct {
 	Name      string       `json:"name"`
@@ -395,7 +379,7 @@ func toFigureResponse(fr *sim.FigureResult) figureResponse {
 // the CLI's supervised semantics.
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	exps, title, ok := figures(q.Get("fig"))
+	title, exps, ok := sim.FigureByName(q.Get("fig"))
 	if !ok {
 		http.Error(w, fmt.Sprintf("unknown figure %q (want fig1|fig3|fig4|fig5)", q.Get("fig")), http.StatusBadRequest)
 		return
@@ -442,9 +426,9 @@ type sweepPointJSON struct {
 // instead of one monolithic response that fails or blocks as a whole.
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	kind := q.Get("kind")
-	if kind != "depth" && kind != "size" {
-		http.Error(w, fmt.Sprintf("unknown sweep kind %q (want depth|size)", kind), http.StatusBadRequest)
+	axis, ok := sim.SweepByKind(q.Get("kind"))
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown sweep kind %q (want depth|size)", q.Get("kind")), http.StatusBadRequest)
 		return
 	}
 	opts, err := s.optionsFrom(q)
@@ -483,26 +467,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	best := []sim.Experiment{sim.BestExperiment()}
-	switch kind {
-	case "depth":
-		for d := 6; d <= 28 && ctx.Err() == nil; d += 2 {
-			o := opts
-			o.Depth = d
-			if !emit(d, s.runFigure(ctx, fmt.Sprintf("depth-%d", d), best, o)) {
-				return
-			}
+	for _, x := range axis.X {
+		if ctx.Err() != nil {
+			break
 		}
-	case "size":
-		for _, kb := range []int{8, 16, 32, 64} {
-			if ctx.Err() != nil {
-				break
-			}
-			o := opts
-			o.PredBytes = kb * 1024 / 2
-			o.ConfBytes = kb * 1024 / 2
-			if !emit(kb, s.runFigure(ctx, fmt.Sprintf("size-%dKB", kb), best, o)) {
-				return
-			}
+		name, o := axis.Point(opts, x)
+		if !emit(x, s.runFigure(ctx, name, best, o)) {
+			return
 		}
 	}
 	s.served.Add(1)

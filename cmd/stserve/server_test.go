@@ -219,15 +219,21 @@ func TestCanceledMapsTo503(t *testing.T) {
 	}
 }
 
-// TestSweepStreamsNDJSON: the depth sweep streams one self-contained JSON
-// line per x value, and a point's grid failures ride along on its line
+// TestSweepStreamsNDJSON: the depth and size sweeps stream one
+// self-contained JSON line per x value, each point simulated at its own
+// depth or budget, and a point's grid failures ride along on its line
 // instead of failing the response.
 func TestSweepStreamsNDJSON(t *testing.T) {
 	s := testServer(1, 0)
+	var names []string
 	s.runFigure = func(_ context.Context, name string, exps []sim.Experiment, opts sim.Options) *sim.FigureResult {
+		names = append(names, name)
 		fr := &sim.FigureResult{
 			Name: name,
-			Rows: []sim.ExperimentRow{{Average: sim.Comparison{Speedup: float64(opts.Depth)}}},
+			Rows: []sim.ExperimentRow{{Average: sim.Comparison{
+				Speedup:     float64(opts.Depth),
+				PowerSaving: float64(opts.PredBytes+opts.ConfBytes) / 1024,
+			}}},
 		}
 		if opts.Depth == 10 {
 			fr.Statuses = make([]sim.PointStatus, 1)
@@ -235,34 +241,54 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 		}
 		return fr
 	}
-	rec := get(t, s.routes(), "/v1/sweep?kind=depth")
-	if rec.Code != 200 {
-		t.Fatalf("sweep: %d %s", rec.Code, rec.Body.String())
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	var lines []sweepPointJSON
-	sc := bufio.NewScanner(rec.Body)
-	for sc.Scan() {
-		var pt sweepPointJSON
-		if err := json.Unmarshal(sc.Bytes(), &pt); err != nil {
-			t.Fatalf("non-JSON sweep line %q: %v", sc.Text(), err)
+	sweep := func(kind string) []sweepPointJSON {
+		t.Helper()
+		names = nil
+		rec := get(t, s.routes(), "/v1/sweep?kind="+kind)
+		if rec.Code != 200 {
+			t.Fatalf("%s sweep: %d %s", kind, rec.Code, rec.Body.String())
 		}
-		lines = append(lines, pt)
+		if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Fatalf("%s sweep: content type %q", kind, ct)
+		}
+		var lines []sweepPointJSON
+		sc := bufio.NewScanner(rec.Body)
+		for sc.Scan() {
+			var pt sweepPointJSON
+			if err := json.Unmarshal(sc.Bytes(), &pt); err != nil {
+				t.Fatalf("non-JSON %s sweep line %q: %v", kind, sc.Text(), err)
+			}
+			lines = append(lines, pt)
+		}
+		return lines
 	}
+
+	lines := sweep("depth")
 	if len(lines) != 12 { // depths 6..28 step 2
-		t.Fatalf("%d sweep lines, want 12", len(lines))
+		t.Fatalf("%d depth sweep lines, want 12", len(lines))
 	}
 	for i, pt := range lines {
 		wantX := 6 + 2*i
-		if pt.X != wantX || pt.Average.Speedup != float64(wantX) {
-			t.Fatalf("line %d: %+v", i, pt)
+		if pt.X != wantX || pt.Average.Speedup != float64(wantX) || names[i] != fmt.Sprintf("depth-%d", wantX) {
+			t.Fatalf("depth line %d: %+v from figure %q", i, pt, names[i])
 		}
 		if (pt.X == 10) != (len(pt.Failures) == 1) {
-			t.Fatalf("line %d failures: %v", i, pt.Failures)
+			t.Fatalf("depth line %d failures: %v", i, pt.Failures)
 		}
 	}
+
+	lines = sweep("size")
+	wantKB := []int{8, 16, 32, 64}
+	if len(lines) != len(wantKB) {
+		t.Fatalf("%d size sweep lines, want %d", len(lines), len(wantKB))
+	}
+	for i, pt := range lines {
+		kb := wantKB[i]
+		if pt.X != kb || pt.Average.PowerSaving != float64(kb) || names[i] != fmt.Sprintf("size-%dKB", kb) || len(pt.Failures) != 0 {
+			t.Fatalf("size line %d: %+v from figure %q", i, pt, names[i])
+		}
+	}
+
 	if rec := get(t, s.routes(), "/v1/sweep?kind=nope"); rec.Code != 400 {
 		t.Fatalf("bad sweep kind: %d", rec.Code)
 	}
@@ -291,6 +317,16 @@ func TestFigureEndpointDegradesPartially(t *testing.T) {
 	if len(resp.Failures) != 1 || !strings.Contains(resp.Failures[0], "A1") {
 		t.Fatalf("failures: %v", resp.Failures)
 	}
+	for fig, title := range map[string]string{
+		"fig1": "Figure 1: oracle", "fig3": "Figure 3: fetch", "fig4": "Figure 4: decode", "fig5": "Figure 5: selection",
+	} {
+		rec := get(t, s.routes(), "/v1/figure?fig="+fig)
+		var resp figureResponse
+		json.NewDecoder(rec.Body).Decode(&resp)
+		if rec.Code != 200 || !strings.HasPrefix(resp.Name, title) {
+			t.Fatalf("fig=%s: %d %q, want 200 %q...", fig, rec.Code, resp.Name, title)
+		}
+	}
 
 	s.runFigure = func(_ context.Context, name string, _ []sim.Experiment, _ sim.Options) *sim.FigureResult {
 		st := []sim.PointStatus{{Err: context.DeadlineExceeded, Attempts: 1}}
@@ -300,8 +336,12 @@ func TestFigureEndpointDegradesPartially(t *testing.T) {
 	if rec := get(t, s.routes(), "/v1/figure?fig=fig3"); rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("all-failed figure: %d, want 504", rec.Code)
 	}
-	if rec := get(t, s.routes(), "/v1/figure?fig=bogus"); rec.Code != 400 {
-		t.Fatal("unknown figure accepted")
+	// Only the bar-chart figures are figures: a sweep, the ablation blocks,
+	// a table or a single experiment is not.
+	for _, fig := range []string{"bogus", "fig6", "ablation", "table1", "run"} {
+		if rec := get(t, s.routes(), "/v1/figure?fig="+fig); rec.Code != 400 {
+			t.Fatalf("fig=%s: %d, want 400", fig, rec.Code)
+		}
 	}
 }
 

@@ -51,13 +51,7 @@ func (g GridSpec) SimOptions() (sim.Options, error) {
 	if err := sim.CheckDepthKB(g.Depth, g.KB); err != nil {
 		return sim.Options{}, fmt.Errorf("fleet: grid spec: %w", err)
 	}
-	opts := sim.Options{
-		Instructions: g.N,
-		Warmup:       g.Warmup,
-		Depth:        g.Depth,
-		PredBytes:    g.KB * 1024 / 2,
-		ConfBytes:    g.KB * 1024 / 2,
-	}
+	opts := sim.Options{Instructions: g.N, Warmup: g.Warmup, Depth: g.Depth}.WithKB(g.KB)
 	if g.Bench != "" {
 		ps, err := prog.ParseProfiles(g.Bench)
 		if err != nil {

@@ -34,4 +34,32 @@ func TestGridID(t *testing.T) {
 	if ID(a) == ID(other) {
 		t.Fatalf("different grids share ID %s", ID(a))
 	}
+
+	// A coordinator and its workers must agree on every selection's grid
+	// across builds, so the IDs at n=2000 are pinned. A change to the
+	// workload profiles or to the configuration encoding moves them all
+	// and regenerates this table; a change that moves only some of them
+	// has changed what a selection runs or the order it runs it in.
+	for _, tc := range []struct{ exp, id, want string }{
+		{"table1", "", "62207e98d902"},
+		{"table2", "", "62207e98d902"},
+		{"conf", "", "368568e95d56"},
+		{"fig1", "", "23c7248928d8"},
+		{"fig3", "", "0c0e8b0b3e2f"},
+		{"fig4", "", "bec2c39bcee0"},
+		{"fig5", "", "b0be244bf6f0"},
+		{"fig6", "", "1e2bed66e6c5"},
+		{"fig7", "", "6905453cb804"},
+		{"ablation", "", "d3a535779c1a"},
+		{"run", "C2", "0e28feb44c48"},
+		{"all", "", "1031ad7d9e47"},
+	} {
+		pts, err := sim.EnumerateGrid(tc.exp, tc.id, sim.Options{Instructions: 2000})
+		if err != nil {
+			t.Fatalf("EnumerateGrid(%s %s): %v", tc.exp, tc.id, err)
+		}
+		if got := ID(pts); got != tc.want {
+			t.Errorf("grid ID of %s %s = %s, want %s", tc.exp, tc.id, got, tc.want)
+		}
+	}
 }

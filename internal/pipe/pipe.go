@@ -581,9 +581,6 @@ func (p *Pipeline) PoolStats() (allocs, reuses uint64) {
 	return p.poolAllocs, p.poolReused
 }
 
-// Mem exposes the cache hierarchy (for reports).
-func (p *Pipeline) Mem() *cache.Hierarchy { return p.mem }
-
 // Cycle returns the current cycle number.
 func (p *Pipeline) Cycle() int64 { return p.cycle }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"selthrottle/internal/power"
 	"selthrottle/internal/prog"
@@ -263,24 +262,9 @@ func DepthSweep(opts Options, depths []int) []SweepPoint {
 }
 
 // DepthSweepE reproduces Figure 6 under ctx with per-point failure
-// isolation. Points run back-to-back on the shared Runner pool (each point's
-// figure already fans out across the pool), so the sweep reuses simulator
-// instances instead of stacking one pool per point.
+// isolation, at the given depths (nil: the paper's).
 func DepthSweepE(ctx context.Context, opts Options, depths []int) []SweepPoint {
-	if depths == nil {
-		for d := 6; d <= 28; d += 2 {
-			depths = append(depths, d)
-		}
-	}
-	points := make([]SweepPoint, len(depths))
-	for i, d := range depths {
-		o := opts
-		o.Depth = d
-		fr := RunFigureE(ctx, fmt.Sprintf("depth-%d", d), []Experiment{BestExperiment()}, o)
-		points[i] = SweepPoint{X: d, Average: fr.Rows[0].Average, Failures: fr.Failures}
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].X < points[j].X })
-	return points
+	return depthAxis.run(ctx, opts, depths)
 }
 
 // SizeSweep reproduces Figure 7: total predictor+estimator budgets of 8, 16,
@@ -290,22 +274,10 @@ func SizeSweep(opts Options, totalsKB []int) []SweepPoint {
 	return SizeSweepE(context.Background(), opts, totalsKB)
 }
 
-// SizeSweepE reproduces Figure 7 under ctx with per-point failure isolation.
-// Like DepthSweepE, points execute back-to-back on the shared Runner pool.
+// SizeSweepE reproduces Figure 7 under ctx with per-point failure isolation,
+// at the given totals (nil: the paper's).
 func SizeSweepE(ctx context.Context, opts Options, totalsKB []int) []SweepPoint {
-	if totalsKB == nil {
-		totalsKB = []int{8, 16, 32, 64}
-	}
-	points := make([]SweepPoint, len(totalsKB))
-	for i, kb := range totalsKB {
-		o := opts
-		o.PredBytes = kb * 1024 / 2
-		o.ConfBytes = kb * 1024 / 2
-		fr := RunFigureE(ctx, fmt.Sprintf("size-%dKB", kb), []Experiment{BestExperiment()}, o)
-		points[i] = SweepPoint{X: kb, Average: fr.Rows[0].Average, Failures: fr.Failures}
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].X < points[j].X })
-	return points
+	return sizeAxis.run(ctx, opts, totalsKB)
 }
 
 // Table1Result is the reproduction of Table 1: the average baseline power
@@ -446,15 +418,13 @@ func RunConfidence(opts Options) []ConfidenceResult {
 func RunConfidenceE(ctx context.Context, opts Options) ([]ConfidenceResult, error) {
 	opts = opts.withDefaults()
 	out := make([]ConfidenceResult, 0, 2)
-	for _, kind := range []EstimatorKind{EstBPRU, EstJRS} {
-		cfg := opts.baseConfig()
-		cfg.Estimator = kind
+	for _, cfg := range confidenceConfigs(opts) {
 		results, statuses := RunAllE(ctx, cfg, opts.Profiles)
 		if err := firstError(statuses); err != nil {
 			return nil, err
 		}
 		var cr ConfidenceResult
-		cr.Estimator = kind
+		cr.Estimator = cfg.Estimator
 		n := float64(len(results))
 		for _, r := range results {
 			cr.SPEC += r.Stats.Quality.SPEC() / n
@@ -464,4 +434,19 @@ func RunConfidenceE(ctx context.Context, opts Options) ([]ConfidenceResult, erro
 		out = append(out, cr)
 	}
 	return out, nil
+}
+
+// baseConfigs is the tables' grid: the baseline alone.
+func baseConfigs(opts Options) []Config { return []Config{opts.baseConfig()} }
+
+// confidenceConfigs is the estimator-quality grid: the baseline under each
+// estimator, BPRU first.
+func confidenceConfigs(opts Options) []Config {
+	cfgs := make([]Config, 0, 2)
+	for _, kind := range []EstimatorKind{EstBPRU, EstJRS} {
+		cfg := opts.baseConfig()
+		cfg.Estimator = kind
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
 }

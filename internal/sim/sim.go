@@ -16,7 +16,7 @@
 // state, so results are bit-identical whether a Runner is fresh or reused —
 // determinism tests enforce this.
 //
-// All experiment drivers (Run, RunAll, RunFigure, DepthSweep, SizeSweep, and
+// All experiment drivers (Run, RunAllE, RunFigure, DepthSweep, SizeSweep, and
 // the table/confidence harnesses built on them) draw Runners from one shared
 // pool: worker goroutines lease a Runner for their lifetime and return it
 // when the job list drains, so figure-scale fan-out reuses a handful of
@@ -519,15 +519,4 @@ func (m *mean) value() float64 {
 		return 0
 	}
 	return m.sum / float64(m.n)
-}
-
-// RunAll executes a configuration across profiles on the shared worker pool
-// and returns results in profile order. Points already in the process-wide
-// result cache are served without re-simulation.
-func RunAll(cfg Config, profiles []prog.Profile) []Result {
-	results := make([]Result, len(profiles))
-	runJobs(len(profiles), func(r *Runner, i int) {
-		results[i] = runCached(r, cfg, profiles[i])
-	})
-	return results
 }

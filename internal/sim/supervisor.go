@@ -217,8 +217,7 @@ func (s *Supervisor) RunPointE(ctx context.Context, cfg Config, profile prog.Pro
 
 // RunAllE executes a configuration across profiles under ctx with per-point
 // failure isolation: results are in profile order, and statuses[i].OK()
-// reports whether results[i] is valid. The context-free, fail-fast
-// equivalent is RunAll.
+// reports whether results[i] is valid.
 func RunAllE(ctx context.Context, cfg Config, profiles []prog.Profile) ([]Result, []PointStatus) {
 	var sup Supervisor
 	results := make([]Result, len(profiles))

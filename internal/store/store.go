@@ -91,15 +91,6 @@ type Store struct {
 	readErrs          atomic.Uint64
 	writeErrs         atomic.Uint64
 	tmpSeq            atomic.Uint64
-
-	// Quarantine growth bound: quarantine/ accumulates across process
-	// lifetimes (nothing ever reads it back), so a store fed a stream of
-	// corruption would grow it without limit and without anyone noticing.
-	// When the resident file count first exceeds warnAt (> 0), warnFn is
-	// called exactly once — an operator signal, never a failure.
-	warnAt   int
-	warnOnce sync.Once
-	warnFn   func(files int)
 }
 
 // Open opens (creating if necessary) the store rooted at dir on fsys (nil
@@ -130,20 +121,6 @@ func Open(dir string, fsys FS) (*Store, error) {
 	}
 	s.recover()
 	return s, nil
-}
-
-// SetQuarantineWarn arms the quarantine-growth warning: once the number of
-// files resident in quarantine/ exceeds n (> 0), warn is called exactly once
-// with the count at the moment of crossing. n <= 0 or a nil warn disarms it.
-// The count is checked immediately on arming — Open's recovery scan runs
-// before any caller can arm the warning, so files quarantined at open (or
-// left over from earlier processes) must be able to trip it here.
-func (s *Store) SetQuarantineWarn(n int, warn func(files int)) {
-	s.warnAt = n
-	s.warnFn = warn
-	if files := int(s.quarantineFiles.Load()); n > 0 && warn != nil && files > n {
-		s.warnOnce.Do(func() { warn(files) })
-	}
 }
 
 // recover is the open-time scan, spread over GOMAXPROCS goroutines that
@@ -234,10 +211,7 @@ func (s *Store) quarantine(path, when string) {
 	if err := s.fs.Rename(path, dest); err != nil {
 		s.fs.Remove(path)
 	} else {
-		files := int(s.quarantineFiles.Add(1))
-		if s.warnAt > 0 && files > s.warnAt && s.warnFn != nil {
-			s.warnOnce.Do(func() { s.warnFn(files) })
-		}
+		s.quarantineFiles.Add(1)
 	}
 	s.quarantined.Add(1)
 }

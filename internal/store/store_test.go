@@ -210,62 +210,10 @@ func TestOpenCleansOrphansAndQuarantinesJunk(t *testing.T) {
 	}
 }
 
-// TestQuarantineWarnFiresOnceOnArming: the quarantine-growth warning must
-// fire at SetQuarantineWarn time when quarantine/ already holds more than the
-// threshold — Open's recovery scan (the main producer of quarantine files)
-// runs before any caller can arm the warning — and must fire exactly once per
-// store lifetime even as later quarantines keep crossing the threshold.
-func TestQuarantineWarnFiresOnceOnArming(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(20); i < 24; i++ {
-		e := filledEntry()
-		k := testKey(i)
-		if err := st.Put(k, &e); err != nil {
-			t.Fatal(err)
-		}
-		// Corrupt every entry in place so the next open quarantines all 4.
-		os.WriteFile(filepathOf(st, k), []byte("rot"), 0o644)
-	}
-
-	st2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	st2.SetQuarantineWarn(10, func(int) { fired++ })
-	if fired != 0 {
-		t.Fatalf("warn fired below threshold (4 files, threshold 10)")
-	}
-	var gotFiles int
-	st2.SetQuarantineWarn(2, func(files int) { fired++; gotFiles = files })
-	if fired != 1 || gotFiles != 4 {
-		t.Fatalf("arming over pre-existing files: fired=%d files=%d, want 1 and 4", fired, gotFiles)
-	}
-	// Further quarantines past the threshold must not re-fire.
-	e := filledEntry()
-	k := testKey(30)
-	if err := st2.Put(k, &e); err != nil {
-		t.Fatal(err)
-	}
-	os.WriteFile(filepathOf(st2, k), []byte("rot"), 0o644)
-	if _, ok, _ := st2.Get(k); ok {
-		t.Fatal("rotten entry served")
-	}
-	if fired != 1 {
-		t.Fatalf("warn fired %d times, want exactly once", fired)
-	}
-	if q := st2.Stats().QuarantineFiles; q != 5 {
-		t.Fatalf("QuarantineFiles = %d, want 5", q)
-	}
-}
-
 // TestGetQuarantinesRotAfterOpen: an entry corrupted after the open scan is
 // quarantined by the Get that discovers it and reported as a miss — one
-// recomputation, not an error and not repeated rereads.
+// recomputation, not an error and not repeated rereads — and the file it
+// moved counts in QuarantineFiles.
 func TestGetQuarantinesRotAfterOpen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, nil)
@@ -290,7 +238,7 @@ func TestGetQuarantinesRotAfterOpen(t *testing.T) {
 		t.Fatal("rotten entry served on second get")
 	}
 	s := st.Stats()
-	if s.Quarantined != 1 || s.Entries != 0 {
+	if s.Quarantined != 1 || s.QuarantineFiles != 1 || s.Entries != 0 {
 		t.Fatalf("stats after rot: %+v", s)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
