@@ -37,7 +37,6 @@ type fleetFlags struct {
 	workers      int           // -workers: local stworker processes to start
 	workerBin    string        // -worker-bin
 	workerFault  string        // -worker-fault
-	leaseTTL     time.Duration // -lease-ttl
 	pointTimeout time.Duration // -point-timeout
 	hedgeAfter   time.Duration // -hedge-after
 	breakerOpen  time.Duration // -breaker-open
@@ -65,7 +64,7 @@ func runFleet(ctx context.Context, f fleetFlags, faults map[int]string, storeDir
 	if len(points) == 0 {
 		return nil // nothing to dispatch (e.g. -exp table3), so no workers either
 	}
-	leases, err := grid.NewManager(storeDir, nil, f.leaseTTL)
+	leases, err := grid.NewManager(storeDir, nil, 0)
 	if err != nil {
 		return err
 	}
@@ -80,17 +79,20 @@ func runFleet(ctx context.Context, f fleetFlags, faults map[int]string, storeDir
 		if bin == "" {
 			bin = defaultWorkerBin()
 		}
-		local := startWorkers(bin, f.workers, storeDir, leases.TTL(), faults)
+		local := startWorkers(bin, f.workers, storeDir, faults)
 		defer stopWorkers(local)
 		for _, w := range local {
 			workers = append(workers, w.addr)
 		}
 	}
+	// The spec carries the defaulted budgets (-n 0 means the default n, as
+	// in the report), so the workers enumerate the report's grid.
+	base := opts.BaseConfig()
 	spec := fleet.GridSpec{
 		Exp:    exp,
 		ID:     id,
-		N:      opts.Instructions,
-		Warmup: opts.Warmup,
+		N:      base.Instructions,
+		Warmup: base.Warmup,
 		Depth:  opts.Depth,
 		KB:     (opts.PredBytes + opts.ConfBytes) / 1024,
 		Bench:  bench,
@@ -166,10 +168,10 @@ type localWorker struct {
 // startWorkers starts n stworker processes over storeDir and returns those
 // that printed their address in time. A worker that fails to start is
 // logged, stopped and skipped.
-func startWorkers(bin string, n int, storeDir string, ttl time.Duration, faults map[int]string) []*localWorker {
+func startWorkers(bin string, n int, storeDir string, faults map[int]string) []*localWorker {
 	var started []*localWorker
 	for i := 0; i < n; i++ {
-		args := []string{"-store", storeDir, "-ttl", ttl.String()}
+		args := []string{"-store", storeDir}
 		if spec := faults[i]; spec != "" {
 			args = append(args, "-fault", spec)
 		}

@@ -12,8 +12,8 @@
 // -workers n and -fleet both need -store. -workers starts n local stworker
 // processes for the run and -fleet names running stserve instances; all of
 // them serve one fleet dispatch (internal/fleet) before the report renders
-// over the filled store. -worker-bin, -worker-fault, -lease-ttl,
-// -point-timeout, -hedge-after and -breaker-open tune that dispatch.
+// over the filled store. -worker-bin, -worker-fault, -point-timeout,
+// -hedge-after and -breaker-open tune that dispatch.
 //
 // Usage errors (an unknown experiment, id or benchmark, -depth or -kb out
 // of range, -workers or -fleet without -store, a bad -worker-fault) exit 2
@@ -77,7 +77,6 @@ func run() int {
 	var ff fleetFlags
 	flag.IntVar(&ff.workers, "workers", 0, "start this many local stworker processes over -store and dispatch the grid to them (0 = in-process)")
 	flag.StringVar(&ff.workerBin, "worker-bin", "", "stworker binary path (default: next to this binary)")
-	flag.DurationVar(&ff.leaseTTL, "lease-ttl", 0, "point-lease expiry horizon, also handed to local workers (default 3s)")
 	flag.StringVar(&ff.workerFault, "worker-fault", "", "per-local-worker fault specs, e.g. '1:kill-after=2;2:freeze-after=2' (test use)")
 	flag.StringVar(&ff.hosts, "fleet", "", "comma-separated stserve workers to dispatch the grid to over HTTP (requires -store)")
 	flag.DurationVar(&ff.pointTimeout, "point-timeout", 0, "fleet per-request deadline (0 = derived from point cost)")

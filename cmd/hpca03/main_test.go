@@ -53,3 +53,29 @@ func TestUsageErrorsCreateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkersDefaultN: -n 0 selects the default instruction budget for the
+// workers as it does for the report, so the local worker serves both points
+// of a one-benchmark run and rejects neither.
+func TestWorkersDefaultN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir() // hpca03 finds stworker beside itself
+	for _, pkg := range []string{"hpca03", "stworker"} {
+		out, err := exec.Command("go", "build", "-o", filepath.Join(dir, pkg), "selthrottle/cmd/"+pkg).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+		}
+	}
+	cmd := exec.Command(filepath.Join(dir, "hpca03"), "-exp", "run", "-id", "C2", "-n", "0", "-bench", "gzip",
+		"-store", t.TempDir(), "-workers", "1", "-v")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("hpca03: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if got := stderr.String(); !strings.Contains(got, " 2 remote, 0 local,") || strings.Contains(got, "rejected") {
+		t.Fatalf("want both points served remotely and none rejected; stderr:\n%s", got)
+	}
+}

@@ -1,9 +1,10 @@
 // Command stserve exposes the selective-throttling reproduction as a
 // resilient HTTP/JSON sweep service: single simulation points, whole figure
 // grids, and NDJSON-streamed sensitivity sweeps, backed by the tiered result
-// cache (bounded memory LRU over the crash-safe persistent store) and PR 6's
-// run supervision. Overload sheds with 429 + Retry-After instead of queueing
-// without bound; SIGTERM/SIGINT drains in-flight requests before exiting.
+// cache (bounded memory LRU over the crash-safe persistent store) and the
+// run supervisor (sim.Supervisor). Overload sheds with 429 + Retry-After
+// instead of queueing without bound; SIGTERM/SIGINT drains in-flight
+// requests before exiting.
 //
 // Usage:
 //
@@ -45,7 +46,6 @@ func run() int {
 		retries = flag.Int("retries", 1, "per-point retry budget for transient failures")
 		storeD  = flag.String("store", "", "persistent result store directory (empty = memory tier only)")
 		entries = flag.Int("cache-entries", sim.DefaultCacheEntries, "in-memory result cache entry cap (0 = unbounded)")
-		ttl     = flag.Duration("lease-ttl", grid.DefaultTTL, "point-lease expiry horizon for /v1/compute (must match the fleet's)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -74,7 +74,7 @@ func run() int {
 	var leases *grid.Manager
 	if *storeD != "" {
 		var err error
-		if leases, err = grid.NewManager(*storeD, nil, *ttl); err != nil {
+		if leases, err = grid.NewManager(*storeD, nil, 0); err != nil {
 			fmt.Fprintf(os.Stderr, "stserve: lease manager: %v\n", err)
 			return 1
 		}

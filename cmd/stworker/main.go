@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	stworker -store dir [-ttl duration] [-fault spec]
+//	stworker -store dir [-fault spec]
 //
 // -fault arms process faults for crash tests (faultinject.ProcFaults,
 // comma-separated): kill-after=k SIGKILLs the worker after its k-th served
@@ -50,12 +50,11 @@ func main() {
 
 func run() int {
 	storeDir := flag.String("store", "", "shared result store directory (required)")
-	ttl := flag.Duration("ttl", grid.DefaultTTL, "point-lease expiry horizon (must match the coordinator's)")
 	fault := flag.String("fault", "", "process fault spec, e.g. kill-after=3 or freeze-after=2,lease-enospc (test use)")
 	flag.Parse()
 
 	if *storeDir == "" || flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: stworker -store dir [-ttl duration] [-fault spec]")
+		fmt.Fprintln(os.Stderr, "usage: stworker -store dir [-fault spec]")
 		return 2
 	}
 	faults, err := faultinject.ParseProcFaults(*fault)
@@ -80,7 +79,7 @@ func run() int {
 		return 1
 	}
 	sim.AttachDiskStore(st)
-	leases, err := grid.NewManager(*storeDir, fsys, *ttl)
+	leases, err := grid.NewManager(*storeDir, fsys, 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stworker: %v\n", err)
 		return 1

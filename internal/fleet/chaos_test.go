@@ -73,8 +73,7 @@ func freePort(t *testing.T) string {
 // for liveness. Cleanup SIGTERMs it and requires a clean drain (exit 0).
 func startWorker(t *testing.T, stserve, addr, storeDir string) {
 	t.Helper()
-	cmd := exec.Command(stserve,
-		"-addr", addr, "-store", storeDir, "-lease-ttl", "500ms")
+	cmd := exec.Command(stserve, "-addr", addr, "-store", storeDir)
 	var logs bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &logs, &logs
 	if err := cmd.Start(); err != nil {
@@ -187,7 +186,6 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 
 	args := append(chaosArgs(storeDir),
 		"-fleet", proxyA.Addr()+","+proxyB.Addr()+","+proxyC.Addr(),
-		"-lease-ttl", "500ms",
 		"-point-timeout", "1s",
 		"-hedge-after", "100ms",
 		"-breaker-open", "150ms",

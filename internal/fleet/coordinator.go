@@ -15,7 +15,7 @@ package fleet
 // exactly the single-process run. Interruption is cooperative end to end:
 // canceling Run's context cancels every in-flight HTTP request and local
 // compute, and Run returns only after every held lease is released, so an
-// interrupted fleet leaves no expired-lease debris behind.
+// interrupted fleet leaves no stale lease file behind.
 
 import (
 	"context"
@@ -76,8 +76,8 @@ type Options struct {
 	// PointTimeout/4; negative disables hedging.
 	HedgeAfter time.Duration
 
-	// Retries bounds remote attempts per point past the first (<0 = 0;
-	// 0 selects DefaultRetries... set -1 to disable).
+	// Retries bounds remote attempts per point past the first: 0 selects
+	// DefaultRetries, and a negative value allows none.
 	Retries int
 
 	// Backoff seeds the per-point exponential retry backoff (0 selects
@@ -505,7 +505,8 @@ func (c *coordinator) dispatchPoint(ctx context.Context, idx, perWorker int) {
 // every other healthy worker is at its cap, or the pick was a breaker
 // probe, it tries again each threshold interval. The
 // hedge goes out with steal=1: if it lands first, its lease claim fences
-// the straggler off (the straggler's heartbeat sees ErrLost and cancels).
+// the straggler off (the straggler's next lease check sees ErrLost and
+// cancels).
 // First outcome wins; the loser's request context is canceled and its
 // outcome discarded (a cancellation the coordinator caused is not evidence
 // against the worker).
@@ -653,11 +654,12 @@ func (c *coordinator) park(idx int) {
 }
 
 // computeLocal is the degradation floor: compute one point in process,
-// under a point lease when a manager is configured. The claim steals —
+// under a point lease when a manager is configured. The claim steals:
 // whatever remote worker held this point is unreachable or wedged, and the
-// fencing token guarantees it cannot publish over us half-alive... or
-// rather it can, and that is fine: publication is last-rename-wins over
-// bit-identical bytes. Reports whether the point produced a valid Result.
+// fresh fencing token stops it at its next lease check. A holder that
+// publishes before then costs nothing, since publication is
+// last-rename-wins over bit-identical bytes. Reports whether the point
+// produced a valid Result.
 func (c *coordinator) computeLocal(ctx context.Context, idx int) bool {
 	pt := c.points[idx]
 	key := pt.Key()

@@ -273,41 +273,41 @@ func (s *ComputeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var lease *grid.Lease
 	if s.Leases != nil && !stored {
 		l, err := s.Leases.ClaimPoint(gridID, key, s.Owner, steal)
+		if err == nil {
+			defer l.Release()
+			if steal {
+				// A steal is provisional until a check confirms its fencing
+				// token survived; racing stealers converge to one winner.
+				err = l.Beat()
+			}
+		}
 		switch {
 		case err == nil:
 			lease = l
-			resp.Stolen = steal
 			if steal {
-				// A steal is provisional until a Beat confirms the fencing
-				// token survived; racing stealers converge to one winner.
-				if berr := l.Beat(); berr != nil {
-					s.conflicts.Add(1)
-					w.Header().Set("Retry-After", "1")
-					http.Error(w, fmt.Sprintf("lost steal race: %v", berr), http.StatusConflict)
-					return
-				}
+				resp.Stolen = true
 				s.steals.Add(1)
 			}
-			defer lease.Release()
-		case errors.Is(err, grid.ErrHeld):
+		case errors.Is(err, grid.ErrHeld), errors.Is(err, grid.ErrLost):
 			s.conflicts.Add(1)
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, fmt.Sprintf("point lease held: %v", err), http.StatusConflict)
 			return
 		default:
-			// Lease I/O degraded (ENOSPC and kin): compute unprotected —
-			// the lease only prevents duplicate work, and duplicates are
-			// harmless.
+			// Lease I/O degraded (ENOSPC, a failed check and kin): compute
+			// unprotected — the lease only prevents duplicate work, and
+			// duplicates are harmless.
 			s.logf("compute %s: lease degraded, running unprotected: %v", resp.Key[:12], err)
 		}
 	}
 
-	// Heartbeat while computing; a lost lease (someone stole the point —
-	// e.g. a hedge fencing us off as the straggler) cancels the compute.
-	heartbeatDone := make(chan struct{})
+	// Check the lease while computing; a lost lease (someone stole the
+	// point — e.g. a hedge fencing us off as the straggler) cancels the
+	// compute.
+	checkDone := make(chan struct{})
 	if lease != nil {
 		go func() {
-			defer close(heartbeatDone)
+			defer close(checkDone)
 			t := time.NewTicker(s.Leases.BeatInterval())
 			defer t.Stop()
 			for {
@@ -322,18 +322,18 @@ func (s *ComputeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 						cancel()
 						return
 					}
-					s.logf("compute %s: heartbeat error (will retry): %v", resp.Key[:12], err)
+					s.logf("compute %s: lease check error (will retry): %v", resp.Key[:12], err)
 				}
 			}
 		}()
 	} else {
-		close(heartbeatDone)
+		close(checkDone)
 	}
 
 	sup := s.Sup
 	res, st := sup.RunPointE(ctx, pt.Cfg, pt.Profile)
 	cancel()
-	<-heartbeatDone
+	<-checkDone
 
 	if !st.OK() {
 		s.failCompute(w, st.Err)

@@ -1,16 +1,26 @@
 package fleet
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"selthrottle/internal/faultinject"
 	"selthrottle/internal/grid"
+	"selthrottle/internal/pipe"
 	"selthrottle/internal/prog"
 	"selthrottle/internal/sim"
 	"selthrottle/internal/store"
@@ -223,6 +233,115 @@ func TestComputeServerLeaseConflictAndSteal(t *testing.T) {
 	if s := cs.Stats(); s.Steals != 1 {
 		t.Fatalf("stats = %+v, want 1 steal", s)
 	}
+}
+
+// TestComputeServerStealCheckErrorReleases: a steal whose confirming check
+// hits an I/O error computes unprotected, like any other lease I/O error,
+// answers 200 and releases its claim, so the point is not left held by a
+// worker that has moved on.
+func TestComputeServerStealCheckErrorReleases(t *testing.T) {
+	_, dir := attachTestStore(t)
+	fsys := faultinject.NewDiskFS(store.OSFS{}, faultinject.DiskFault{
+		Kind:  faultinject.DiskReadError,
+		Op:    faultinject.OpRead,
+		Match: grid.LeaseDirName + string(os.PathSeparator),
+		Once:  true,
+	})
+	leases, err := grid.NewManager(dir, fsys, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(6070)
+	pts := specPoints(t, spec)
+	gridID := grid.ID(pts)
+	if _, err := leases.ClaimPoint(gridID, pts[0].Key(), "other", false); err != nil {
+		t.Fatalf("ClaimPoint: %v", err)
+	}
+	cs := &ComputeServer{Leases: leases, Owner: "w-test"}
+
+	rec := serveCompute(t, cs, computeURL(spec, gridID, 0, true))
+	if rec.Code != 200 {
+		t.Fatalf("steal with a failing check: %d %s, want 200", rec.Code, rec.Body.String())
+	}
+	file := filepath.Join(dir, grid.LeaseDirName, grid.PointLeaseName(gridID, pts[0].Key())+grid.LeaseSuffix)
+	if data, err := os.ReadFile(file); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("lease file left behind (%v):\n%s", err, data)
+	}
+}
+
+// TestComputeServerCheckLoopCancelsFencedCompute: a worker whose point is
+// stolen while it computes sees the foreign token at its next lease check,
+// cancels the compute and answers 503 long before the point would finish,
+// and its release leaves the thief's lease alone.
+func TestComputeServerCheckLoopCancelsFencedCompute(t *testing.T) {
+	_, dir := attachTestStore(t)
+	leases, err := grid.NewManager(dir, nil, 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At 50µs or more per cycle, a million instructions take minutes.
+	spec := testSpec(1_000_000)
+	pts := specPoints(t, spec)
+	gridID := grid.ID(pts)
+	computing := make(chan struct{})
+	var once sync.Once
+	var logMu sync.Mutex
+	var logs strings.Builder
+	cs := &ComputeServer{
+		Leases: leases,
+		Owner:  "w-slow",
+		Sup: sim.Supervisor{PointFault: func(sim.Config, prog.Profile) pipe.FaultHook {
+			once.Do(func() { close(computing) })
+			return faultinject.NewPlan(faultinject.Fault{Kind: faultinject.KindSlow, Stage: pipe.StageStep, Delay: 50 * time.Microsecond})
+		}},
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			fmt.Fprintf(&logs, format+"\n", args...)
+		},
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cs.ServeHTTP(rec, httptest.NewRequest("GET", computeURL(spec, gridID, 0, false), nil).WithContext(ctx))
+	}()
+	select {
+	case <-computing:
+	case <-done:
+		t.Fatalf("request ended before computing: %d %s", rec.Code, rec.Body.String())
+	}
+
+	thieves, err := grid.NewManager(dir, nil, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thief, err := thieves.ClaimPoint(gridID, pts[0].Key(), "thief", true)
+	if err != nil {
+		t.Fatalf("steal: %v", err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		cancel()
+		<-done
+		t.Fatal("the fenced-off compute was still running 10s after the steal")
+	}
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("fenced-off compute: %d %s, want 503", rec.Code, rec.Body.String())
+	}
+	logMu.Lock()
+	if !strings.Contains(logs.String(), "lease lost, canceling") {
+		t.Errorf("no lease-lost event logged:\n%s", logs.String())
+	}
+	logMu.Unlock()
+	if err := thief.Beat(); err != nil {
+		t.Fatalf("thief's check after the worker released: %v", err)
+	}
+	thief.Release()
 }
 
 // TestComputeServerFastPathSkipsLease: a published point is served without

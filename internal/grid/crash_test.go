@@ -95,7 +95,6 @@ func TestWorkerCrashRecoveryByteIdentical(t *testing.T) {
 		"-workers", "3",
 		"-worker-bin", stworker,
 		"-worker-fault", "1:kill-after=2",
-		"-lease-ttl", "500ms",
 	)
 	gotOut, gotErr, code := runBin(t, hpca03, args...)
 	if code != 0 {
@@ -135,7 +134,6 @@ func TestWorkerFrozenHeartbeatRecovery(t *testing.T) {
 		"-workers", "3",
 		"-worker-bin", stworker,
 		"-worker-fault", "2:freeze-after=2",
-		"-lease-ttl", "500ms",
 	)
 	gotOut, gotErr, code := runBin(t, hpca03, args...)
 	if code != 0 {
@@ -167,7 +165,7 @@ func TestMultiWorkerCleanRun(t *testing.T) {
 		t.Fatalf("single-process reference run exited %d", code)
 	}
 	args := append(fastArgs(t.TempDir()),
-		"-workers", "3", "-worker-bin", stworker, "-lease-ttl", "500ms")
+		"-workers", "3", "-worker-bin", stworker)
 	gotOut, gotErr, code := runBin(t, hpca03, args...)
 	if code != 0 {
 		t.Fatalf("clean multi-worker run exited %d\nstderr:\n%s", code, gotErr)

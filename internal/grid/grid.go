@@ -5,16 +5,18 @@
 // every process the same point list. On that substrate a grid is named by
 // the hash of its point keys (ID), so a coordinator and its workers can
 // check they mean the same grid, and each point is guarded while it computes
-// by a lease file over the shared store directory: an atomic O_EXCL claim,
-// heartbeat renewal, reader-local monotonic TTL expiry and fencing tokens
-// for steals. The fleet (internal/fleet) dispatches points under these
-// leases; a point that two workers end up computing costs wall-clock, never
-// correctness, because both publish the same bytes.
+// by a lease file over the shared store directory: an atomic O_EXCL claim, a
+// steal that installs a fresh fencing token, a read-only check that tells a
+// fenced-off holder to stop, and a release. The fleet (internal/fleet)
+// dispatches points under these leases; a point that two workers end up
+// computing costs wall-clock, never correctness, because both publish the
+// same bytes.
 package grid
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"time"
 
 	"selthrottle/internal/sim"
 )
@@ -31,4 +33,21 @@ func ID(points []sim.GridPoint) string {
 		h.Write(k[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))[:12]
+}
+
+// Clock is a monotonic time source: readings are durations from an
+// arbitrary fixed origin, comparable only to other readings from the same
+// Clock. Tests inject warped clocks; production uses MonotonicClock.
+type Clock func() time.Duration
+
+// MonotonicClock returns a Clock backed by the runtime monotonic clock
+// (time.Since carries the monotonic reading, immune to wall-clock steps):
+// the one sanctioned production time source for reader-local liveness
+// judgements, such as the fleet's circuit breakers. Dependent packages share
+// this annotated wall-clock site instead of growing their own.
+//
+//st:wallclock — reader-local monotonic readings for liveness judgements; never reaches output
+func MonotonicClock() Clock {
+	start := time.Now()
+	return func() time.Duration { return time.Since(start) }
 }

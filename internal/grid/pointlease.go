@@ -5,7 +5,7 @@ package grid
 // that is what delivers work stealing for free: any idle worker may claim
 // an unleased point, and a point whose holder died or stalled mid-compute
 // is reclaimable by a steal, which installs a fresh fencing token. The
-// tokens bound duplicate holders to one beat interval, and the purity +
+// holder's next check sees the token and stops, and the purity +
 // last-rename-wins store make the residual overlap harmless: a stolen point
 // at worst computes twice, bit-identically.
 
@@ -14,13 +14,6 @@ import (
 
 	"selthrottle/internal/store"
 )
-
-// MonotonicClock returns a Clock backed by the runtime monotonic clock —
-// the sanctioned production time source for lease expiry and any other
-// reader-local liveness judgement (circuit breakers, hedging timers).
-// Exported so dependent packages (internal/fleet) share the one annotated
-// wall-clock site instead of growing their own.
-func MonotonicClock() Clock { return monotonicClock() }
 
 // PointLeaseName names the lease file guarding one grid point of one grid:
 // the grid ID plus a 12-hex prefix of the point's content address. The
@@ -37,9 +30,8 @@ func PointLeaseName(gridID string, k store.Key) string {
 // provisional until the first successful Beat, per the Steal contract.
 func (m *Manager) ClaimPoint(gridID string, k store.Key, owner string, steal bool) (*Lease, error) {
 	name := PointLeaseName(gridID, k)
-	l, err := m.Acquire(name, owner)
-	if err == nil || !steal {
-		return l, err
+	if steal {
+		return m.Steal(name, owner)
 	}
-	return m.Steal(name, owner)
+	return m.Acquire(name, owner)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"selthrottle/internal/store"
 )
@@ -26,7 +25,7 @@ func TestPointLeaseName(t *testing.T) {
 // TestClaimPointAcquireAndConflict: a claimed point rejects a second
 // non-steal claim with ErrHeld, and release frees it.
 func TestClaimPointAcquireAndConflict(t *testing.T) {
-	m, _ := newTestManager(t, nil, time.Second)
+	m := newTestManager(t, nil)
 	var k store.Key
 	k[0] = 0x42
 
@@ -55,7 +54,7 @@ func TestClaimPointAcquireAndConflict(t *testing.T) {
 // foreign fencing token and returns ErrLost — the straggler cancels instead
 // of publishing a duplicate claim of ownership.
 func TestClaimPointStealFencesHolder(t *testing.T) {
-	m, _ := newTestManager(t, nil, time.Second)
+	m := newTestManager(t, nil)
 	var k store.Key
 	k[0] = 0x43
 
@@ -80,7 +79,7 @@ func TestClaimPointStealFencesHolder(t *testing.T) {
 // TestClaimPointManyDistinct: point leases for a realistic sweep's worth of
 // keys coexist under one grid without name collisions.
 func TestClaimPointManyDistinct(t *testing.T) {
-	m, _ := newTestManager(t, nil, time.Second)
+	m := newTestManager(t, nil)
 	for i := 0; i < 64; i++ {
 		// The lease name covers only k[:6]; vary the keys inside that prefix.
 		var k store.Key

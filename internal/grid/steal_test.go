@@ -91,7 +91,7 @@ func TestWorkerStealPassDrainsAbsentPartition(t *testing.T) {
 }
 
 // TestWorkerStealPassWaitsOutExpiredLease: a point still guarded by a dead
-// holder's lease (claimed, never renewed, never released) answers 409
+// holder's lease (claimed, never checked, never released) answers 409
 // until the coordinator escalates to a steal, which fences the dead holder
 // off and publishes the point.
 func TestWorkerStealPassWaitsOutExpiredLease(t *testing.T) {

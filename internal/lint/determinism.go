@@ -11,11 +11,11 @@ import (
 // is a pure function of (Config, Profile). The analyzer forbids the three
 // classic leaks in the packages that feed that output:
 //
-//   - wall-clock reads (time.Now, time.Since). The lease protocol's
-//     reader-local monotonic expiry is the one legitimate consumer; such a
-//     site carries `//st:wallclock` with a justification (the annotation is
-//     accepted on the line, the line above, or the enclosing declaration's
-//     doc comment).
+//   - wall-clock reads (time.Now, time.Since). grid.MonotonicClock, the
+//     reader-local monotonic source of the fleet's circuit breakers, is the
+//     one legitimate consumer; such a site carries `//st:wallclock` with a
+//     justification (the annotation is accepted on the line, the line
+//     above, or the enclosing declaration's doc comment).
 //   - the global math/rand / math/rand/v2 generators, which are seeded from
 //     runtime entropy and shared across goroutines. Explicitly seeded
 //     generators (rand.New and the internal/xrand streams) remain legal.

@@ -2,11 +2,11 @@ package grid
 
 import "time"
 
-// monotonicClock mirrors the production lease-clock carve-out: grid may
-// read the wall clock for reader-local lease expiry, but only under an
+// monotonicClock mirrors the production clock carve-out: grid may read the
+// wall clock for reader-local liveness judgements, but only under an
 // explicit //st:wallclock justification.
 //
-//st:wallclock — reader-local lease expiry; never reaches output
+//st:wallclock — reader-local liveness judgements; never reaches output
 func monotonicClock() func() time.Duration {
 	start := time.Now()
 	return func() time.Duration { return time.Since(start) }
