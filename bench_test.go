@@ -10,6 +10,7 @@
 package selthrottle_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -37,7 +38,10 @@ func report(b *testing.B, prefix string, c sim.Comparison) {
 // instructions (paper: 27.9 % overall, 56.4 W total).
 func BenchmarkTable1PowerBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t1 := sim.RunTable1(benchOpts())
+		t1, err := sim.RunTable1E(context.Background(), benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(t1.TotalWatts, "total_W")
 		b.ReportMetric(100*t1.WastedTotal, "wasted_%")
 		b.ReportMetric(100*t1.Shares[power.UnitClock], "clock_share_%")
@@ -49,7 +53,10 @@ func BenchmarkTable1PowerBreakdown(b *testing.B) {
 // misprediction rates (paper: 6.8-19.7 %).
 func BenchmarkTable2Benchmarks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := sim.RunTable2(benchOpts())
+		rows, err := sim.RunTable2E(context.Background(), benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		var avg float64
 		for _, r := range rows {
 			avg += 100 * r.MeasuredMiss / float64(len(rows))
@@ -117,7 +124,7 @@ func BenchmarkFig5SelectionThrottling(b *testing.B) {
 // pipeline depths (paper: energy savings 11 % at 6 stages to 17.2 % at 28).
 func BenchmarkFig6PipelineDepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points := sim.DepthSweep(benchOpts(), []int{6, 14, 28})
+		points := sim.DepthSweepE(context.Background(), benchOpts(), []int{6, 14, 28})
 		for _, p := range points {
 			switch p.X {
 			case 6:
@@ -136,7 +143,7 @@ func BenchmarkFig6PipelineDepth(b *testing.B) {
 // to 16.5 % at 64 KB; energy/E-D roughly flat).
 func BenchmarkFig7TableSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points := sim.SizeSweep(benchOpts(), []int{8, 64})
+		points := sim.SizeSweepE(context.Background(), benchOpts(), []int{8, 64})
 		for _, p := range points {
 			switch p.X {
 			case 8:
@@ -152,7 +159,10 @@ func BenchmarkFig7TableSize(b *testing.B) {
 // (paper: BPRU SPEC 60 % / PVN 45 %; JRS SPEC 90 % / PVN 24 %).
 func BenchmarkConfidenceQuality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		crs := sim.RunConfidence(benchOpts())
+		crs, err := sim.RunConfidenceE(context.Background(), benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, cr := range crs {
 			b.ReportMetric(100*cr.SPEC, string(cr.Estimator)+"_SPEC_%")
 			b.ReportMetric(100*cr.PVN, string(cr.Estimator)+"_PVN_%")
@@ -266,22 +276,23 @@ func BenchmarkSquashHeavy(b *testing.B) {
 	})
 }
 
-// BenchmarkWalkerNext isolates the workload walker — the single hottest
-// function of the cycle loop — on the highest-misprediction profile. The
+// BenchmarkWalkerNext isolates the workload walker on the
+// highest-misprediction profile: each op is one NextGroup call into an
+// 8-slot fetch buffer, the call the cycle loop's fetch stage makes. The
 // sub-benchmark keeps its name (fast) for CI's same-runner comparison.
 func BenchmarkWalkerNext(b *testing.B) {
 	profile, _ := prog.ProfileByName("go")
 	program := prog.Generate(profile)
 	b.Run("fast", func(b *testing.B) {
 		w := prog.NewWalker(program)
-		var d prog.DynInst
+		var buf [8]prog.DynInst
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.Next(&d)
-			if d.BrID != prog.NoBranch {
+			k := w.NextGroup(buf[:])
+			if d := &buf[k-1]; d.BrID != prog.NoBranch {
 				w.Steer(d.Taken)
-				w.Release(&d)
+				w.Release(d)
 			}
 		}
 	})
@@ -302,10 +313,10 @@ func BenchmarkDepthSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.ClearResultCache()
 		t0 := time.Now()
-		cold := sim.DepthSweep(opts, depths)
+		cold := sim.DepthSweepE(context.Background(), opts, depths)
 		coldT := time.Since(t0)
 		t1 := time.Now()
-		warm := sim.DepthSweep(opts, depths)
+		warm := sim.DepthSweepE(context.Background(), opts, depths)
 		warmT := time.Since(t1)
 		if len(cold) != len(warm) || cold[0].Average != warm[0].Average {
 			b.Fatal("cached sweep diverged from cold sweep")

@@ -36,7 +36,7 @@ func main() {
 func run() int {
 	n := flag.Uint64("n", prog.DefaultInstructions, "measured instructions per benchmark")
 	warmup := flag.Uint64("warmup", 0, "warmup instructions (default n/4)")
-	tune := flag.Bool("tune", false, "solve for per-profile noise scales hitting Table 2 miss rates")
+	tune := flag.Bool("tune", false, "grid-search per-profile gate frequencies (HardFreqOverride) hitting Table 2 miss rates")
 	verbose := flag.Bool("v", false, "print the process-wide result-cache reuse summary at exit")
 	flag.Parse()
 
@@ -60,7 +60,7 @@ func run() int {
 
 func calibrate(ctx context.Context, n, warmup uint64, tune bool) int {
 	if tune {
-		return tuneNoiseScales(ctx, n, warmup)
+		return tuneHardFreq(ctx, n, warmup)
 	}
 
 	opts := sim.Options{Instructions: n, Warmup: warmup}

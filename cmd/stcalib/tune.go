@@ -10,18 +10,19 @@ import (
 	"selthrottle/internal/sim"
 )
 
-// tuneNoiseScales solves, per profile, for the NoiseScaleOverride that lands
-// the measured gshare misprediction rate on the paper's Table 2 value, by
-// bisection on the (monotone) noise-scale/miss-rate relationship. It prints
-// the resulting scales as Go literals to paste into internal/prog/profile.go.
-// Canceling ctx (Ctrl-C) stops the search and suppresses the paste block —
-// a partial grid search would print wrong constants.
-func tuneNoiseScales(ctx context.Context, n, warmup uint64) int {
+// tuneHardFreq searches, per profile, for the HardFreqOverride (the hard
+// diamond's gate frequency) that lands the measured gshare misprediction
+// rate closest to the paper's Table 2 value. It tries every frequency from
+// 0.05 to 1.0 in steps of 0.05 and keeps the best. It prints the results
+// as lines to paste into internal/prog/profile.go. Canceling ctx (Ctrl-C)
+// stops the search and suppresses the paste block — a partial grid search
+// would print wrong constants.
+func tuneHardFreq(ctx context.Context, n, warmup uint64) int {
 	profiles := prog.Profiles()
 	type result struct {
-		name  string
-		scale float64
-		miss  float64
+		name string
+		freq float64
+		miss float64
 	}
 	results := make([]result, len(profiles))
 	var wg sync.WaitGroup
@@ -59,7 +60,7 @@ func tuneNoiseScales(ctx context.Context, n, warmup uint64) int {
 	fmt.Println("== tuned gate frequencies (paste HardFreqOverride into profiles)")
 	for i, r := range results {
 		fmt.Printf("%-10s HardFreqOverride: %.3f,   // measured miss %.1f%% target %.1f%%\n",
-			r.name, r.scale, 100*r.miss, profiles[i].PaperMissPct)
+			r.name, r.freq, 100*r.miss, profiles[i].PaperMissPct)
 	}
 	return 0
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,6 +45,7 @@ func measure(profile prog.Profile, est conf.Estimator, n int) conf.Quality {
 			g.OnMispredict(cookie, d.Taken)
 		}
 		w.Steer(d.Taken)
+		w.Release(&d)
 	}
 	return q
 }
@@ -86,10 +88,14 @@ func main() {
 	// measurement at the paper's operating points. This goes through the
 	// sim harness and therefore the process-wide result cache: re-running
 	// the explorer's variations in one process re-simulates nothing.
-	crs := sim.RunConfidence(sim.Options{
+	crs, err := sim.RunConfidenceE(context.Background(), sim.Options{
 		Instructions: uint64(*n) / 4,
 		Profiles:     []prog.Profile{profile},
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Println("\nin-pipeline (wrong-path speculation included), paper configs:")
 	tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	for _, cr := range crs {

@@ -2,8 +2,8 @@
 // reproduction: two-bit saturating counters, a gshare direction predictor
 // with speculative global history and misprediction fixup (the paper's
 // baseline: an 8 KB gshare whose history register is speculatively updated),
-// a bimodal predictor, a set-associative branch target buffer, and a return
-// address stack.
+// a bimodal predictor, and a set-associative branch target buffer. Returns
+// need no predictor: the workload walker supplies every return target.
 package bpred
 
 // Counter2 is a two-bit saturating counter. 0-1 predict not-taken,

@@ -164,43 +164,3 @@ func TestBTBLRUReplacement(t *testing.T) {
 		t.Fatal("LRU entry survived")
 	}
 }
-
-func TestRASPushPop(t *testing.T) {
-	r := NewRAS(4)
-	r.Push(10)
-	r.Push(20)
-	if v, ok := r.Pop(); !ok || v != 20 {
-		t.Fatalf("pop = %d, %v", v, ok)
-	}
-	if v, ok := r.Pop(); !ok || v != 10 {
-		t.Fatalf("pop = %d, %v", v, ok)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop from empty stack succeeded")
-	}
-}
-
-func TestRASCheckpointRestore(t *testing.T) {
-	r := NewRAS(8)
-	r.Push(1)
-	cp := r.Checkpoint()
-	r.Push(2)
-	r.Push(3)
-	r.Restore(cp)
-	if v, ok := r.Pop(); !ok || v != 1 {
-		t.Fatalf("after restore pop = %d, %v", v, ok)
-	}
-}
-
-func TestRASWrapsAtDepth(t *testing.T) {
-	r := NewRAS(2)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3) // overwrites the oldest
-	if v, _ := r.Pop(); v != 3 {
-		t.Fatalf("pop = %d, want 3", v)
-	}
-	if v, _ := r.Pop(); v != 2 {
-		t.Fatalf("pop = %d, want 2", v)
-	}
-}

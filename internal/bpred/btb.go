@@ -90,44 +90,3 @@ func (b *BTB) Reset() {
 	clear(b.target)
 	clear(b.lru)
 }
-
-// RAS is a return-address stack with a simple top-of-stack checkpoint used
-// on branch misprediction recovery. The synthetic workload's returns are
-// steered by the walker (perfect target knowledge), so the RAS here exists
-// for power accounting and structural fidelity rather than mispredictions.
-type RAS struct {
-	stack []uint64
-	top   int
-}
-
-// NewRAS builds a return-address stack with depth entries.
-func NewRAS(depth int) *RAS {
-	if depth < 1 {
-		depth = 1
-	}
-	return &RAS{stack: make([]uint64, depth)}
-}
-
-// Push records a return address (call).
-func (r *RAS) Push(addr uint64) {
-	r.stack[r.top%len(r.stack)] = addr
-	r.top++
-}
-
-// Pop predicts a return target; ok is false when empty.
-func (r *RAS) Pop() (uint64, bool) {
-	if r.top == 0 {
-		return 0, false
-	}
-	r.top--
-	return r.stack[r.top%len(r.stack)], true
-}
-
-// Checkpoint captures the stack pointer for later restore.
-func (r *RAS) Checkpoint() int { return r.top }
-
-// Restore rewinds the stack pointer to a checkpoint.
-func (r *RAS) Restore(cp int) { r.top = cp }
-
-// Reset empties the stack for reuse by the next run.
-func (r *RAS) Reset() { r.top = 0 }

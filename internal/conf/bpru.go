@@ -36,22 +36,13 @@ type BPRU struct {
 
 var _ Estimator = (*BPRU)(nil)
 
-// BPRU tuning defaults (see type comment). They are variables rather than
-// constants so calibration tooling can explore the step space; production
-// code never mutates them.
-var (
+// BPRU counter defaults (see type comment). SetSteps overrides the steps of
+// one estimator.
+const (
 	bpruIncWrong = 2
 	bpruDecRight = 1
+	bpruCtrMax   = 7
 )
-
-const bpruCtrMax = 7
-
-// SetDefaultSteps overrides the default counter steps for newly built BPRU
-// estimators (calibration tooling only).
-func SetDefaultSteps(incWrong, decRight int) {
-	bpruIncWrong = incWrong
-	bpruDecRight = decRight
-}
 
 // NewBPRU builds a BPRU-style estimator with the given byte budget. Each
 // entry models a tag plus a 3-bit counter in two bytes; the table is 4-way
@@ -75,8 +66,8 @@ func NewBPRU(sizeBytes int) *BPRU {
 		ctrs:   make([]uint8, n),
 		ways:   ways,
 		sets:   sets,
-		incr:   uint8(bpruIncWrong),
-		decr:   uint8(bpruDecRight),
+		incr:   bpruIncWrong,
+		decr:   bpruDecRight,
 		ctrMax: bpruCtrMax,
 	}
 }

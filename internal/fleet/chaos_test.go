@@ -56,6 +56,16 @@ func binaries(t *testing.T) (hpca03, stserve string) {
 	return filepath.Join(buildDir, "hpca03"), filepath.Join(buildDir, "stserve")
 }
 
+// TestMain removes the directory the binaries were built into once the
+// package's tests have run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
 // freePort reserves an ephemeral 127.0.0.1 port and releases it for the
 // subprocess to bind.
 func freePort(t *testing.T) string {

@@ -3,8 +3,9 @@ package fleet
 // The worker side of networked dispatch: /v1/compute, one grid point per
 // request. The endpoint is deliberately tiny and stateless across requests
 // — the request names the grid (by enumeration parameters plus the
-// expected grid ID) and the point (by index), the worker recomputes the
-// enumeration (memoized) and verifies the ID, claims the point's lease
+// expected grid ID) and the point (by index), the worker checks the spec,
+// admits the request, recomputes the enumeration (memoized for the few
+// most recent grids) and verifies the ID, claims the point's lease
 // through the shared store, computes through the tiered cache (publishing
 // to the store as always), and returns the Result as the store codec's
 // exact bytes. Any worker can therefore serve any point of any grid with
@@ -43,8 +44,12 @@ type GridSpec struct {
 	Bench  string // comma-separated benchmark subset ("" = all)
 }
 
-// SimOptions expands the spec into simulation options, validating ranges.
+// SimOptions expands the spec into simulation options, validating the
+// selection and the ranges.
 func (g GridSpec) SimOptions() (sim.Options, error) {
+	if err := sim.CheckSelection(g.Exp, g.ID); err != nil {
+		return sim.Options{}, fmt.Errorf("fleet: grid spec: %w", err)
+	}
 	if g.N == 0 {
 		return sim.Options{}, fmt.Errorf("fleet: grid spec: n must be positive")
 	}
@@ -148,7 +153,7 @@ type ComputeServer struct {
 	Logf func(format string, args ...any)
 
 	mu    sync.Mutex
-	grids map[GridSpec]*gridMemo
+	grids []*gridMemo // most recently used last, at most maxGrids
 
 	served    atomic.Uint64 // points computed (or cache-served) to a 200
 	conflicts atomic.Uint64 // claims refused 409 (lease held elsewhere)
@@ -158,11 +163,17 @@ type ComputeServer struct {
 // gridMemo is one memoized enumeration (grids are re-requested per point,
 // re-enumerating thousands of times would dominate serving cost).
 type gridMemo struct {
+	spec   GridSpec
 	once   sync.Once
 	points []sim.GridPoint
 	id     string
 	err    error
 }
+
+// maxGrids bounds the enumeration memo. A coordinator dispatches one grid
+// at a time, so a few recent grids serve every live fleet; an evicted grid
+// is enumerated again if it comes back.
+const maxGrids = 4
 
 // ServerStats is the endpoint's observability counters.
 type ServerStats struct {
@@ -182,24 +193,28 @@ func (s *ComputeServer) logf(format string, args ...any) {
 	}
 }
 
-// grid returns the memoized enumeration for spec.
-func (s *ComputeServer) grid(spec GridSpec) ([]sim.GridPoint, string, error) {
+// grid returns the memoized enumeration for spec, whose options opts the
+// caller has already checked. The memo keeps the maxGrids most recently
+// used grids and evicts the least recently used one.
+func (s *ComputeServer) grid(spec GridSpec, opts sim.Options) ([]sim.GridPoint, string, error) {
 	s.mu.Lock()
-	if s.grids == nil {
-		s.grids = make(map[GridSpec]*gridMemo)
+	var m *gridMemo
+	for i, g := range s.grids {
+		if g.spec == spec {
+			m = g
+			s.grids = append(s.grids[:i], s.grids[i+1:]...)
+			break
+		}
 	}
-	m := s.grids[spec]
 	if m == nil {
-		m = &gridMemo{}
-		s.grids[spec] = m
+		m = &gridMemo{spec: spec}
+		if len(s.grids) == maxGrids {
+			s.grids = append(s.grids[:0], s.grids[1:]...)
+		}
 	}
+	s.grids = append(s.grids, m)
 	s.mu.Unlock()
 	m.once.Do(func() {
-		opts, err := spec.SimOptions()
-		if err != nil {
-			m.err = err
-			return
-		}
 		pts, err := sim.EnumerateGrid(spec.Exp, spec.ID, opts)
 		if err != nil {
 			m.err = err
@@ -232,7 +247,23 @@ func (s *ComputeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("warmup %d exceeds the per-request ceiling %d", spec.Warmup, s.MaxN), http.StatusBadRequest)
 		return
 	}
-	points, gridID, err := s.grid(spec)
+	opts, err := spec.SimOptions()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+
+	// Admit before enumerating: a shed request costs no enumeration and
+	// leaves nothing in the memo.
+	if s.Admit != nil {
+		release, ok := s.Admit(w)
+		if !ok {
+			return
+		}
+		defer release()
+	}
+
+	points, gridID, err := s.grid(spec, opts)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -250,14 +281,6 @@ func (s *ComputeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	steal := q.Get("steal") == "1"
-
-	if s.Admit != nil {
-		release, ok := s.Admit(w)
-		if !ok {
-			return
-		}
-		defer release()
-	}
 
 	pt := points[index]
 	key := pt.Key()

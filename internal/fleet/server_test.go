@@ -379,7 +379,10 @@ func foreignPut(t *testing.T, dir string, pt sim.GridPoint) func() error {
 	if err != nil {
 		t.Fatalf("store.Open (second handle): %v", err)
 	}
-	res := sim.NewRunner().Run(pt.Cfg, pt.Profile)
+	res, err := sim.NewRunner().RunE(context.Background(), pt.Cfg, pt.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e, err := store.DecodeEntry(sim.EncodeResultEntry(&res))
 	if err != nil {
 		t.Fatalf("DecodeEntry: %v", err)
@@ -447,6 +450,48 @@ func TestComputeServerAdmission(t *testing.T) {
 	}
 	if released != 1 {
 		t.Fatalf("release ran %d times, want 1", released)
+	}
+}
+
+// TestComputeServerGridMemoBounded: a request the host sheds enumerates
+// nothing, and the enumeration memo holds at most maxGrids grids however
+// many distinct specs are admitted.
+func TestComputeServerGridMemoBounded(t *testing.T) {
+	shed := true
+	cs := &ComputeServer{
+		Owner: "w-test",
+		Admit: func(w http.ResponseWriter) (func(), bool) {
+			if shed {
+				http.Error(w, "shed", http.StatusTooManyRequests)
+				return nil, false
+			}
+			return func() {}, true
+		},
+	}
+	memo := func() int {
+		cs.mu.Lock()
+		defer cs.mu.Unlock()
+		return len(cs.grids)
+	}
+	for n := uint64(6400); n < 6410; n++ {
+		if rec := serveCompute(t, cs, computeURL(testSpec(n), "", 0, false)); rec.Code != 429 {
+			t.Fatalf("shed request: %d, want 429", rec.Code)
+		}
+	}
+	if got := memo(); got != 0 {
+		t.Fatalf("shed requests left %d grids in the memo, want 0", got)
+	}
+
+	shed = false
+	for n := uint64(6400); n < 6400+3*maxGrids; n++ {
+		// An index past the grid's end is refused after the enumeration,
+		// so the request simulates nothing.
+		if rec := serveCompute(t, cs, computeURL(testSpec(n), "", 1<<20, false)); rec.Code != 400 {
+			t.Fatalf("admitted request: %d, want 400", rec.Code)
+		}
+		if got := memo(); got > maxGrids {
+			t.Fatalf("memo holds %d grids after %d specs, want at most %d", got, n-6399, maxGrids)
+		}
 	}
 }
 

@@ -49,6 +49,16 @@ func binaries(t *testing.T) (hpca03, stworker string) {
 	return filepath.Join(buildDir, "hpca03"), filepath.Join(buildDir, "stworker")
 }
 
+// TestMain removes the directory the binaries were built into once the
+// package's tests have run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
 // fastArgs is the shared fast grid selection: fig3 (64 points) at a small
 // instruction budget.
 func fastArgs(storeDir string) []string {

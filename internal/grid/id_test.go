@@ -41,18 +41,18 @@ func TestGridID(t *testing.T) {
 	// and regenerates this table; a change that moves only some of them
 	// has changed what a selection runs or the order it runs it in.
 	for _, tc := range []struct{ exp, id, want string }{
-		{"table1", "", "62207e98d902"},
-		{"table2", "", "62207e98d902"},
-		{"conf", "", "368568e95d56"},
-		{"fig1", "", "23c7248928d8"},
-		{"fig3", "", "0c0e8b0b3e2f"},
-		{"fig4", "", "bec2c39bcee0"},
-		{"fig5", "", "b0be244bf6f0"},
-		{"fig6", "", "1e2bed66e6c5"},
-		{"fig7", "", "6905453cb804"},
-		{"ablation", "", "d3a535779c1a"},
-		{"run", "C2", "0e28feb44c48"},
-		{"all", "", "1031ad7d9e47"},
+		{"table1", "", "0ce8d2b46c26"},
+		{"table2", "", "0ce8d2b46c26"},
+		{"conf", "", "d5c6be3690dd"},
+		{"fig1", "", "4c0cf5e08006"},
+		{"fig3", "", "17b0a63eb6f9"},
+		{"fig4", "", "879e2bc18822"},
+		{"fig5", "", "0dd7e1fabd0a"},
+		{"fig6", "", "91c581db9581"},
+		{"fig7", "", "56b4b8b7b973"},
+		{"ablation", "", "f8dbddabaada"},
+		{"run", "C2", "ff4cd437beb5"},
+		{"all", "", "fea1f38f9527"},
 	} {
 		pts, err := sim.EnumerateGrid(tc.exp, tc.id, sim.Options{Instructions: 2000})
 		if err != nil {

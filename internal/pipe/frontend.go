@@ -125,16 +125,11 @@ func (p *Pipeline) fetch() {
 		switch op {
 		case isa.OpBranch:
 			stop = p.fetchCondBranch(in, &taken)
-		case isa.OpJump:
+		case isa.OpJump, isa.OpCall:
 			p.btbTouch(in.d.PC, in.d.TakenPC)
-			taken++
-		case isa.OpCall:
-			p.btbTouch(in.d.PC, in.d.TakenPC)
-			p.ras.Push(in.d.FallPC)
 			taken++
 		case isa.OpReturn:
-			p.ras.Pop() // target supplied by the walker (see bpred.RAS doc)
-			taken++
+			taken++ // target supplied by the walker
 		}
 		if stop || taken >= p.cfg.MaxTakenPerCycle {
 			break

@@ -95,7 +95,6 @@ type Config struct {
 
 	BTBEntries int
 	BTBWays    int
-	RASDepth   int
 
 	// PerfectDisambiguation disables load-store blocking entirely
 	// (ablation/diagnostic; the default address-matching model is the
@@ -146,7 +145,6 @@ func Default() Config {
 		Mem:        cache.Default(),
 		BTBEntries: 1024,
 		BTBWays:    2,
-		RASDepth:   32,
 	}
 	cfg.FUCount[isa.FUIntALU] = 8
 	cfg.FUCount[isa.FUIntMult] = 2
@@ -355,7 +353,6 @@ type Pipeline struct {
 	ctrl   *core.Controller
 	mem    *cache.Hierarchy
 	btb    *bpred.BTB
-	ras    *bpred.RAS
 	meter  *power.Meter
 
 	cycle int64
@@ -458,7 +455,6 @@ func New(cfg Config, w *prog.Walker, pred bpred.DirPredictor, est conf.Estimator
 		ctrl:   ctrl,
 		mem:    cache.NewHierarchy(cfg.Mem),
 		btb:    bpred.NewBTB(cfg.BTBEntries, cfg.BTBWays),
-		ras:    bpred.NewRAS(cfg.RASDepth),
 		meter:  meter,
 	}
 	p.faultArmed = cfg.Fault != nil
@@ -481,7 +477,7 @@ func New(cfg Config, w *prog.Walker, pred bpred.DirPredictor, est conf.Estimator
 
 // Reset rewinds the pipeline to its just-constructed state and rebinds its
 // collaborators, reusing every internal structure (rings, completion wheel,
-// instruction pool, caches, BTB, RAS). The structural configuration is
+// instruction pool, caches, BTB). The structural configuration is
 // unchanged — callers that need a different Config must build a new
 // Pipeline. A reset pipeline produces bit-identical results to a fresh one.
 func (p *Pipeline) Reset(w *prog.Walker, pred bpred.DirPredictor, est conf.Estimator,
@@ -489,7 +485,6 @@ func (p *Pipeline) Reset(w *prog.Walker, pred bpred.DirPredictor, est conf.Estim
 	p.walker, p.pred, p.est, p.ctrl, p.meter = w, pred, est, ctrl, meter
 	p.mem.Reset()
 	p.btb.Reset()
-	p.ras.Reset()
 	p.cycle = 0
 	for p.frontQ.Len() > 0 {
 		p.freeInst(p.frontQ.PopFront())

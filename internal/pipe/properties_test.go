@@ -47,7 +47,7 @@ var propShapes = []propShape{
 	{"depth28", func(c *Config) { c.SetDepth(28) }},
 	{"depth64", func(c *Config) { c.SetDepth(64) }},
 	{"btb1", func(c *Config) { c.BTBEntries, c.BTBWays = 1, 1 }},
-	{"ras1", func(c *Config) { c.RASDepth = 1 }},
+	{"lsq1", func(c *Config) { c.LSQSize = 1 }},
 	{"fu1", func(c *Config) {
 		for k := range c.FUCount {
 			c.FUCount[k] = 1
@@ -295,11 +295,11 @@ func TestModelProperties(t *testing.T) {
 
 // fuzzConfig maps raw fuzz input onto a bounded machine shape: widths 1-8,
 // window 1-256, LSQ 1-window, depth 6-64 stages, BTB 1-2048 entries x 1-4
-// ways, RAS 1-64, one to eight units of each FU kind (three bits each of
-// fu), one or two taken branches per fetch cycle and optional perfect
-// disambiguation (the two low bits of flags).
+// ways, one to eight units of each FU kind (three bits each of fu), one or
+// two taken branches per fetch cycle and optional perfect disambiguation
+// (the two low bits of flags).
 func fuzzConfig(fetchW, decodeW, issueW, commitW uint8, window, lsq uint16, depth uint8,
-	btbEntries uint16, btbWays, ras uint8, fu uint16, flags uint8) Config {
+	btbEntries uint16, btbWays uint8, fu uint16, flags uint8) Config {
 	cfg := Default()
 	cfg.FetchWidth = 1 + int(fetchW%8)
 	cfg.DecodeWidth = 1 + int(decodeW%8)
@@ -310,7 +310,6 @@ func fuzzConfig(fetchW, decodeW, issueW, commitW uint8, window, lsq uint16, dept
 	cfg.SetDepth(6 + int(depth%59))
 	cfg.BTBEntries = 1 + int(btbEntries%2048)
 	cfg.BTBWays = 1 + int(btbWays%4)
-	cfg.RASDepth = 1 + int(ras%64)
 	for k := range cfg.FUCount {
 		cfg.FUCount[k] = 1 + int(fu>>(3*k)&7)
 	}
@@ -338,13 +337,13 @@ func FuzzPipelineConfig(f *testing.F) {
 		f.Add(uint8(si), uint8(si), uint8(si/3),
 			uint8(c.FetchWidth-1), uint8(c.DecodeWidth-1), uint8(c.IssueWidth-1), uint8(c.CommitWidth-1),
 			uint16(c.WindowSize-1), uint16(c.LSQSize-1), uint8(c.Depth()-6),
-			uint16(c.BTBEntries-1), uint8(c.BTBWays-1), uint8(c.RASDepth-1), fu, flags)
+			uint16(c.BTBEntries-1), uint8(c.BTBWays-1), fu, flags)
 	}
 	f.Fuzz(func(t *testing.T, profile, policy, oracle, fetchW, decodeW, issueW, commitW uint8,
-		window, lsq uint16, depth uint8, btbEntries uint16, btbWays, ras uint8, fu uint16, flags uint8) {
+		window, lsq uint16, depth uint8, btbEntries uint16, btbWays uint8, fu uint16, flags uint8) {
 		bench := propProfiles[int(profile)%len(propProfiles)]
 		pol := propPolicies[int(policy)%len(propPolicies)]
-		cfg := fuzzConfig(fetchW, decodeW, issueW, commitW, window, lsq, depth, btbEntries, btbWays, ras, fu, flags)
+		cfg := fuzzConfig(fetchW, decodeW, issueW, commitW, window, lsq, depth, btbEntries, btbWays, fu, flags)
 		cfg.Oracle = propOracles[int(oracle)%len(propOracles)]
 		ref, err := propReference(bench)
 		if err != nil {

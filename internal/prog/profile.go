@@ -42,7 +42,7 @@
 //     see the threshold fields on Branch for the full argument.
 //   - Per-block data the walker needs every instruction (successor base
 //     PCs, terminator class, flat code/memory-ref tables) is precomputed
-//     into blockMeta so Next reads flat arrays instead of chasing Block
+//     into blockMeta so NextGroup reads flat arrays instead of chasing Block
 //     structures and a (block, index) map.
 //
 // Outcome keeps the float definition of the branch model; a test checks
@@ -98,13 +98,12 @@ type Profile struct {
 
 	// HardFreqOverride sets how often loop bodies execute their hard
 	// diamond (the gate branch's taken frequency). It is the primary
-	// miss-rate calibration knob; zero means the default 0.5.
+	// miss-rate calibration knob, which cmd/stcalib -tune grid-searches;
+	// zero means the default 0.5.
 	HardFreqOverride float64
 
 	// NoiseScaleOverride rescales both EasyNoise and HardNoise at branch
-	// creation; the calibration loop (cmd/stcalib -tune) solves for the
-	// value that lands the measured gshare miss rate on the paper's.
-	// Zero means 1.0 (no scaling).
+	// creation. Zero means 1.0 (no scaling).
 	NoiseScaleOverride float64
 
 	// --- Paper-reported characteristics (Table 2), for reports and tests ---

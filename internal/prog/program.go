@@ -165,7 +165,7 @@ type Program struct {
 // NoMem marks a non-memory instruction in Program.memIDs.
 const NoMem = -1
 
-// blockMeta is the walker's per-block fast-path record: everything Next
+// blockMeta is the walker's per-block fast-path record: everything NextGroup
 // needs about a block — successor bases, terminator class, flat-table offset
 // — precomputed so the hot loop touches no map and no second Block.
 type blockMeta struct {

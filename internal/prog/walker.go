@@ -77,7 +77,7 @@ const NoCkpt = -1
 // it through the instruction pool, the completion wheel, and the recovery
 // paths on every dynamic instruction.
 //
-// Field contract: Next always writes Seq, PC, St, BrID, and Ckpt. The
+// Field contract: the walker always writes Seq, PC, St, BrID, and Ckpt. The
 // remaining fields are defined only for the op classes that use them —
 // Taken/TakenPC for control transfers, FallPC for branches and calls, Addr
 // for memory ops, WrongPath by the pipeline at fetch — and hold stale values
@@ -93,7 +93,7 @@ type DynInst struct {
 	St   isa.Static
 	BrID int32 // Program.Branches index for conditional branches, else NoBranch
 
-	// Ckpt is a handle into the walker's checkpoint arena, leased by Next
+	// Ckpt is a handle into the walker's checkpoint arena, leased by NextGroup
 	// for conditional branches only. The checkpointed state is the walker
 	// just after outcome generation but before steering; restoring it and
 	// steering with the actual outcome resumes the correct path. The lease
@@ -112,7 +112,7 @@ type DynInst struct {
 //
 // # Checkpoint arena
 //
-// The walker owns a pooled arena of WalkState checkpoints. Next leases one
+// The walker owns a pooled arena of WalkState checkpoints. NextGroup leases one
 // slot per conditional branch and records the handle in DynInst.Ckpt; the
 // lease returns to the free list when the branch no longer needs recovery
 // state — Recover frees it after restoring, and the pipeline calls Release
@@ -123,7 +123,7 @@ type DynInst struct {
 //
 // The lease marks the start of a speculation epoch: the pipeline opens a
 // power-attribution epoch (pipe's epoch ledgers) for every conditional
-// branch at the same moment Next issues its checkpoint handle, and a flush
+// branch at the same moment NextGroup issues its checkpoint handle, and a flush
 // that consumes a checkpoint via Recover also folds the epochs the squashed
 // wrong path opened. The two lifetimes deliberately diverge afterwards —
 // a lease dies at resolution (the branch can no longer need recovery), while
@@ -137,7 +137,7 @@ type Walker struct {
 	seq  uint64
 
 	// pendingSteer is true between producing a conditional branch and the
-	// caller's Steer call; Next panics if violated (harness bug).
+	// caller's Steer call; NextGroup panics if violated (harness bug).
 	pendingSteer bool
 
 	ckpts    []WalkState // checkpoint arena; handles index it
@@ -147,7 +147,7 @@ type Walker struct {
 	// Stable-reference address memo, one slot per Program.MemRefs entry. A
 	// stable (non-wild) site's address is a pure function of its seed and
 	// the 64-branch epoch (BrCount>>6), and sites typically execute many
-	// times per epoch, so Next and NextGroup cache the last (epoch, address)
+	// times per epoch, so NextGroup caches the last (epoch, address)
 	// pair per site instead of rehashing. Keys store epoch+1 so zero means
 	// empty; the memo is exact (same pure function, same inputs).
 	memoKey  []uint64
@@ -330,106 +330,13 @@ func (br *Branch) outcome(ghist, brCount uint64) bool {
 // *predicted* direction before calling Next again. All other control flow
 // steers itself.
 //
-// Next reads the program's flat blockMeta/code/memIDs tables and the
-// integer outcome thresholds (Branch.outcome, which agrees with the float
-// definition Outcome on every input).
-//
-//st:hotpath
+// Next is a one-instruction NextGroup. The batch starts as a copy of *out,
+// so the fields an instruction leaves unwritten (see the DynInst field
+// contract) keep the caller's values. The cycle loop calls NextGroup.
 func (w *Walker) Next(out *DynInst) {
-	if w.pendingSteer {
-		panic("prog: Next called with a pending Steer")
-	}
-	p := w.prog
-	m := &p.meta[w.st.Block]
-	// Advance through (possibly empty-remainder) blocks until an
-	// instruction is available. Fall-through blocks chain silently.
-	for w.st.Index >= int(m.n) {
-		w.st.Block = int(m.succ0)
-		w.st.Index = 0
-		m = &p.meta[w.st.Block]
-	}
-	idx := w.st.Index
-	off := int(m.off) + idx
-	st := p.code[off]
-	out.Seq = w.seq
-	out.PC = m.base + uint64(idx)*InstBytes
-	out.St = st
-	out.BrID = NoBranch
-	out.Ckpt = NoCkpt
-	w.seq++
-	w.st.Index++
-
-	switch {
-	case st.Op == isa.OpBranch:
-		br := &p.Branches[m.brID]
-		taken := br.outcome(w.st.Ghist, w.st.BrCount)
-		w.st.BrCount++
-		out.BrID = m.brID
-		out.Taken = taken
-		out.TakenPC = m.takenBase
-		out.FallPC = m.fallBase
-		// History records the *actual* outcome: outcome generation is
-		// architecturally consistent along whichever path is followed.
-		w.st.Ghist = w.st.Ghist<<1 | b2u(taken)
-		id := w.leaseCkpt()
-		w.saveCkpt(id)
-		out.Ckpt = id
-		w.pendingSteer = true
-	case st.Op == isa.OpJump:
-		out.TakenPC = m.takenBase
-		out.Taken = true
-		w.st.Block = int(m.succ1)
-		w.st.Index = 0
-	case st.Op == isa.OpCall:
-		out.TakenPC = m.takenBase
-		out.FallPC = m.fallBase
-		out.Taken = true
-		w.st.push(int(m.succ0))
-		w.st.Block = int(m.succ1)
-		w.st.Index = 0
-	case st.Op == isa.OpReturn:
-		target, ok := w.st.pop()
-		if !ok {
-			// Wrong-path artifact (or top-of-program): restart at entry.
-			target = p.Entry
-		}
-		out.TakenPC = p.meta[target].base
-		out.Taken = true
-		w.st.Block = target
-		w.st.Index = 0
-	case st.Op.IsMem():
-		if id := p.memIDs[off]; id >= 0 {
-			mr := &p.MemRefs[id]
-			if mr.Wild {
-				// No temporal locality, and keyed on the full history
-				// so a wrong path's reconvergent loads do NOT compute
-				// the correct path's future addresses (register state
-				// differs across paths in real programs). Wild loads
-				// miss often, and on the wrong path they are pure
-				// cache pollution — the effect behind the paper's
-				// oracle-fetch speedup.
-				out.Addr = mr.Base + mr.fold(xrand.Hash3(mr.Seed, w.st.Ghist, w.st.BrCount))
-			} else {
-				// Slowly moving working set: the address advances
-				// only every 64 branches, so repeated executions hit.
-				out.Addr = w.stableAddr(mr, id)
-			}
-		}
-	}
-
-	// If a fall-through block is exhausted, chain to its successor so the
-	// next PC is correct for fetch-group formation.
-	if !w.pendingSteer {
-		m = &p.meta[w.st.Block]
-		for w.st.Index >= int(m.n) && m.term == isa.OpNop {
-			if m.succ0 == NoBlock {
-				break
-			}
-			w.st.Block = int(m.succ0)
-			w.st.Index = 0
-			m = &p.meta[w.st.Block]
-		}
-	}
+	buf := [1]DynInst{*out}
+	w.NextGroup(buf[:])
+	*out = buf[0]
 }
 
 // NextGroup produces a batch of consecutive dynamic instructions into out and
@@ -458,7 +365,7 @@ func (w *Walker) NextGroup(out []DynInst) int {
 	n := 0
 	for n < len(out) {
 		// Head chase: advance through exhausted blocks. Mid-batch this
-		// replaces Next's per-instruction fall-through chain — an exhausted
+		// replaces the fall-through chain that ends a batch — an exhausted
 		// block reachable here always has an OpNop terminator (a control
 		// terminator would have steered the walker away), so the two
 		// traversals visit exactly the same blocks.
@@ -541,7 +448,7 @@ func (w *Walker) NextGroup(out []DynInst) int {
 }
 
 // chainFallThrough advances the walker through exhausted fall-through blocks
-// (Next's per-instruction tail chain) so the next PC is correct for
+// (the tail chain that ends every batch) so the next PC is correct for
 // fetch-group formation.
 func (w *Walker) chainFallThrough() {
 	m := &w.prog.meta[w.st.Block]

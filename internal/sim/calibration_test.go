@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"selthrottle/internal/power"
@@ -25,7 +26,10 @@ func TestTable2MissRateCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration test")
 	}
-	rows := RunTable2(calibOpts())
+	rows, err := RunTable2E(context.Background(), calibOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		got := 100 * r.MeasuredMiss
 		want := r.Profile.PaperMissPct
@@ -47,7 +51,10 @@ func TestConfidenceOperatingPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration test")
 	}
-	crs := RunConfidence(calibOpts())
+	crs, err := RunConfidenceE(context.Background(), calibOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, cr := range crs {
 		switch cr.Estimator {
 		case EstBPRU:
@@ -81,7 +88,10 @@ func TestTable1Breakdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration test")
 	}
-	t1 := RunTable1(calibOpts())
+	t1, err := RunTable1E(context.Background(), calibOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Total power within 15 % of the paper's 56.4 W.
 	if t1.TotalWatts < power.TotalWatts*0.85 || t1.TotalWatts > power.TotalWatts*1.15 {
 		t.Errorf("total power %.1f W, paper %.1f W", t1.TotalWatts, power.TotalWatts)
@@ -178,7 +188,7 @@ func TestDepthSweepShape(t *testing.T) {
 		profiles = append(profiles, p)
 	}
 	opts := Options{Instructions: 80000, Warmup: 20000, Profiles: profiles}
-	points := DepthSweep(opts, []int{6, 14, 28})
+	points := DepthSweepE(context.Background(), opts, []int{6, 14, 28})
 	if len(points) != 3 {
 		t.Fatalf("%d sweep points", len(points))
 	}
@@ -199,7 +209,7 @@ func TestSizeSweepShape(t *testing.T) {
 		profiles = append(profiles, p)
 	}
 	opts := Options{Instructions: 80000, Warmup: 20000, Profiles: profiles}
-	points := SizeSweep(opts, []int{8, 64})
+	points := SizeSweepE(context.Background(), opts, []int{8, 64})
 	if len(points) != 2 {
 		t.Fatalf("%d sweep points", len(points))
 	}

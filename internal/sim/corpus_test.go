@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -73,7 +74,10 @@ func simCell(name, bench string, cfg Config) corpusCell {
 		if !ok {
 			return fmt.Errorf("unknown profile %q", bench)
 		}
-		res := r.Run(cfg, p)
+		res, err := r.RunE(context.Background(), cfg, p)
+		if err != nil {
+			return err
+		}
 		writeInts(h, res.Stats)
 		return writeMeter(h, r.meter)
 	}}

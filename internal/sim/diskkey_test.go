@@ -105,7 +105,7 @@ func TestPointKeyRejectsFaultHook(t *testing.T) {
 // under the old rules go cold instead of being misread), then update the
 // pin.
 func TestPointKeyGolden(t *testing.T) {
-	const want = "0f19f6e988bc4719bca4b78a864b1aa499293ef5f3f081aa997371c92ce3380c"
+	const want = "e4bb54452b69536a55b135b71192968d91b8c6410a17362c1ce4f5e8f05c039c"
 	if got := PointKey(Default(), prog.Profiles()[0]).String(); got != want {
 		t.Fatalf("PointKey(Default(), %s) = %s, want %s (schema %s)", prog.Profiles()[0].Name, got, want, diskKeySchema)
 	}

@@ -20,7 +20,7 @@ import (
 // the shape of Config or Profile, or the meaning of any field only requires
 // bumping this string: old entries become unreachable (cold cache,
 // recomputed and republished under the new schema), never wrongly served.
-const diskKeySchema = "selthrottle/resultcache/key/v3"
+const diskKeySchema = "selthrottle/resultcache/key/v4"
 
 // diskKeyOf content-addresses a canonical cache key: the SHA-256 of the
 // schema string followed by a binary walk of the two canonicalized value

@@ -255,27 +255,17 @@ type SweepPoint struct {
 	Failures []PointFailure
 }
 
-// DepthSweep reproduces Figure 6: pipeline depths 6..28 (step 2), C2 vs the
-// baseline at each depth. It is DepthSweepE under a background context.
-func DepthSweep(opts Options, depths []int) []SweepPoint {
-	return DepthSweepE(context.Background(), opts, depths)
-}
-
-// DepthSweepE reproduces Figure 6 under ctx with per-point failure
-// isolation, at the given depths (nil: the paper's).
+// DepthSweepE reproduces Figure 6, C2 vs the baseline at each pipeline
+// depth, under ctx with per-point failure isolation, at the given depths
+// (nil: the paper's 6..28 in steps of 2).
 func DepthSweepE(ctx context.Context, opts Options, depths []int) []SweepPoint {
 	return depthAxis.run(ctx, opts, depths)
 }
 
-// SizeSweep reproduces Figure 7: total predictor+estimator budgets of 8, 16,
-// 32, and 64 KB, split half/half, C2 vs a baseline using the same predictor.
-// It is SizeSweepE under a background context.
-func SizeSweep(opts Options, totalsKB []int) []SweepPoint {
-	return SizeSweepE(context.Background(), opts, totalsKB)
-}
-
-// SizeSweepE reproduces Figure 7 under ctx with per-point failure isolation,
-// at the given totals (nil: the paper's).
+// SizeSweepE reproduces Figure 7, C2 vs a baseline using the same predictor
+// at each total predictor+estimator budget (split half/half), under ctx with
+// per-point failure isolation, at the given totals (nil: the paper's 8, 16,
+// 32 and 64 KB).
 func SizeSweepE(ctx context.Context, opts Options, totalsKB []int) []SweepPoint {
 	return sizeAxis.run(ctx, opts, totalsKB)
 }
@@ -292,17 +282,8 @@ type Table1Result struct {
 	Results      []Result
 }
 
-// RunTable1 reproduces Table 1 from baseline runs across the profiles. It
-// is the fail-fast wrapper around RunTable1E.
-func RunTable1(opts Options) *Table1Result {
-	t1, err := RunTable1E(context.Background(), opts)
-	if err != nil {
-		panic(err) // fail-fast: legacy contract, typed *RunError for Guard
-	}
-	return t1
-}
-
-// RunTable1E reproduces Table 1 under ctx. The table's averages are
+// RunTable1E reproduces Table 1 from baseline runs across the profiles,
+// under ctx. The table's averages are
 // meaningless with holes, so unlike the figure grids it is all-or-nothing:
 // the first failed point's error is returned (context errors included) and
 // the table is nil.
@@ -365,17 +346,8 @@ type Table2Row struct {
 	IPC            float64
 }
 
-// RunTable2 reproduces Table 2 by measuring each profile under the
-// baseline. It is the fail-fast wrapper around RunTable2E.
-func RunTable2(opts Options) []Table2Row {
-	rows, err := RunTable2E(context.Background(), opts)
-	if err != nil {
-		panic(err) // fail-fast: legacy contract, typed *RunError for Guard
-	}
-	return rows
-}
-
-// RunTable2E reproduces Table 2 under ctx, all-or-nothing like RunTable1E.
+// RunTable2E reproduces Table 2 by measuring each profile under the
+// baseline, under ctx, all-or-nothing like RunTable1E.
 func RunTable2E(ctx context.Context, opts Options) ([]Table2Row, error) {
 	opts = opts.withDefaults()
 	results, statuses := RunAllE(ctx, opts.baseConfig(), opts.Profiles)
@@ -402,19 +374,9 @@ type ConfidenceResult struct {
 	LowFrac   float64
 }
 
-// RunConfidence measures SPEC/PVN for both estimators across the profiles
-// (paper §4.3: BPRU ≈ 60 %/45 %, JRS ≈ 90 %/24 %). It is the fail-fast
-// wrapper around RunConfidenceE.
-func RunConfidence(opts Options) []ConfidenceResult {
-	out, err := RunConfidenceE(context.Background(), opts)
-	if err != nil {
-		panic(err) // fail-fast: legacy contract, typed *RunError for Guard
-	}
-	return out
-}
-
-// RunConfidenceE measures SPEC/PVN under ctx, all-or-nothing like
-// RunTable1E.
+// RunConfidenceE measures SPEC/PVN for both estimators across the profiles
+// (paper §4.3: BPRU ≈ 60 %/45 %, JRS ≈ 90 %/24 %) under ctx, all-or-nothing
+// like RunTable1E.
 func RunConfidenceE(ctx context.Context, opts Options) ([]ConfidenceResult, error) {
 	opts = opts.withDefaults()
 	out := make([]ConfidenceResult, 0, 2)

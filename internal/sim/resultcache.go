@@ -210,18 +210,6 @@ func (c *ResultCache) SetDisk(st *store.Store) (previous *store.Store) {
 // Disk returns the attached disk tier, if any.
 func (c *ResultCache) Disk() *store.Store { return c.disk.Load() }
 
-// Run returns the memoized Result for (cfg, profile), simulating it on r at
-// most once per cache lifetime. It is the legacy fail-fast wrapper around
-// RunE: a terminal simulation failure is raised as a panic (in every waiter
-// as well as the leader).
-func (c *ResultCache) Run(r *Runner, cfg Config, profile prog.Profile) Result {
-	res, err := c.RunE(context.Background(), r, cfg, profile)
-	if err != nil {
-		panic(err) // fail-fast: legacy contract, typed *RunError for Guard
-	}
-	return res
-}
-
 // RunE returns the memoized Result for (cfg, profile), checking the memory
 // tier, then the disk tier, then simulating on r; concurrent requests for
 // one point elect a leader and the rest wait. The returned Result carries
@@ -462,17 +450,6 @@ func WriteCacheSummary(w io.Writer) {
 		fmt.Fprintf(w, "disk store: %d entries, %d puts, %d quarantined, %d read/write errors\n",
 			ts.Disk.Entries, ts.DiskPuts, ts.Disk.Quarantined, ts.Disk.ReadErrors+ts.Disk.WriteErrors)
 	}
-}
-
-// runCached is the fail-fast entry the legacy drivers use: it consults the
-// process-wide cache unless caching is disabled, and panics on a terminal
-// run failure.
-func runCached(r *Runner, cfg Config, profile prog.Profile) Result {
-	res, err := runCachedE(context.Background(), r, cfg, profile)
-	if err != nil {
-		panic(err) // fail-fast: legacy contract, typed *RunError for Guard
-	}
-	return res
 }
 
 // runCachedE is the supervised entry: it consults the process-wide cache

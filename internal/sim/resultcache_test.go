@@ -31,16 +31,17 @@ func TestCachedSweepsMatchUncached(t *testing.T) {
 
 	prev := SetResultCaching(false)
 	defer SetResultCaching(prev)
-	uncached := DepthSweep(opts, depths)
-	uncachedSize := SizeSweep(opts, []int{8, 16})
+	ctx := context.Background()
+	uncached := DepthSweepE(ctx, opts, depths)
+	uncachedSize := SizeSweepE(ctx, opts, []int{8, 16})
 
 	SetResultCaching(true)
 	ClearResultCache()
-	cold := DepthSweep(opts, depths)
+	cold := DepthSweepE(ctx, opts, depths)
 	h0, m0 := ResultCacheStats()
-	warm := DepthSweep(opts, depths)
+	warm := DepthSweepE(ctx, opts, depths)
 	h1, m1 := ResultCacheStats()
-	warmSize := SizeSweep(opts, []int{8, 16})
+	warmSize := SizeSweepE(ctx, opts, []int{8, 16})
 
 	if !reflect.DeepEqual(uncached, cold) {
 		t.Fatal("cold cached DepthSweep diverged from uncached")
@@ -177,7 +178,11 @@ func TestCacheConcurrentSingleFlight(t *testing.T) {
 	done := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			results[w] = c.Run(NewRunner(), cfg, p)
+			var err error
+			results[w], err = c.RunE(context.Background(), NewRunner(), cfg, p)
+			if err != nil {
+				t.Error(err)
+			}
 			done <- w
 		}(w)
 	}

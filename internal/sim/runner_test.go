@@ -1,12 +1,23 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"selthrottle/internal/prog"
 )
+
+// runOn runs cfg on p with r and fails the test on a run error.
+func runOn(t *testing.T, r *Runner, cfg Config, p prog.Profile) Result {
+	t.Helper()
+	res, err := r.RunE(context.Background(), cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestRunnerReuseBitIdentical is the refactor's correctness gate: a reused
 // run context must produce exactly the Result a freshly constructed one
@@ -15,11 +26,11 @@ import (
 func TestRunnerReuseBitIdentical(t *testing.T) {
 	p, _ := prog.ProfileByName("gzip")
 	cfg := tinyConfig()
-	fresh := NewRunner().Run(cfg, p)
+	fresh := runOn(t, NewRunner(), cfg, p)
 
 	r := NewRunner()
-	first := r.Run(cfg, p)
-	second := r.Run(cfg, p)
+	first := runOn(t, r, cfg, p)
+	second := runOn(t, r, cfg, p)
 	if first != fresh {
 		t.Fatal("first run on a new runner diverged from an independent fresh runner")
 	}
@@ -38,7 +49,7 @@ func TestRunnerReuseAcrossConfigsAndProfiles(t *testing.T) {
 	base := tinyConfig()
 
 	r := NewRunner()
-	want := r.Run(base, gz)
+	want := runOn(t, r, base, gz)
 
 	c2 := BestExperiment().Apply(base)
 	deep := base
@@ -46,11 +57,11 @@ func TestRunnerReuseAcrossConfigsAndProfiles(t *testing.T) {
 	jrs := base
 	jrs.Estimator = EstJRS
 
-	r.Run(c2, tw)
-	r.Run(deep, gz)
-	r.Run(jrs, tw)
+	runOn(t, r, c2, tw)
+	runOn(t, r, deep, gz)
+	runOn(t, r, jrs, tw)
 
-	if got := r.Run(base, gz); got != want {
+	if got := runOn(t, r, base, gz); got != want {
 		t.Fatal("runner state leaked across intervening runs with other configurations")
 	}
 }

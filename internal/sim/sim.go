@@ -9,21 +9,21 @@
 //
 // The unit of execution is the Runner, a reusable run context that owns one
 // pipeline, branch predictor, confidence estimator, throttle controller, and
-// power meter. Runner.Run executes any number of (Config, Profile) pairs
+// power meter. Runner.RunE executes any number of (Config, Profile) pairs
 // back-to-back, resetting (rather than reallocating) every component between
 // runs; structural pieces are rebuilt only when the configuration they
 // depend on actually changes. A reset component restores its exact as-new
 // state, so results are bit-identical whether a Runner is fresh or reused —
 // determinism tests enforce this.
 //
-// All experiment drivers (Run, RunAllE, RunFigure, DepthSweep, SizeSweep, and
-// the table/confidence harnesses built on them) draw Runners from one shared
-// pool: worker goroutines lease a Runner for their lifetime and return it
-// when the job list drains, so figure-scale fan-out reuses a handful of
-// simulator instances instead of constructing one per (experiment,
-// benchmark) pair. Because every run starts from an identical reset state,
-// experiment results are independent of GOMAXPROCS and of which pooled
-// Runner served them.
+// All experiment drivers (Run, RunAllE, RunFigureE, DepthSweepE, SizeSweepE,
+// and the table/confidence harnesses built on them) draw Runners from one
+// shared pool: worker goroutines lease a Runner for their lifetime and
+// return it when the job list drains, so figure-scale fan-out reuses a
+// handful of simulator instances instead of constructing one per
+// (experiment, benchmark) pair. Because every run starts from an identical
+// reset state, experiment results are independent of GOMAXPROCS and of
+// which pooled Runner served them.
 //
 // # Result memoization
 //
@@ -140,30 +140,19 @@ type Runner struct {
 }
 
 // NewRunner returns an empty run context; components are built lazily on the
-// first Run and recycled afterwards.
+// first run and recycled afterwards.
 func NewRunner() *Runner { return &Runner{} }
 
-// Run executes one configuration on one benchmark profile. The first
-// cfg.Warmup instructions train predictors and caches; measurement covers
-// the next cfg.Instructions. Results are bit-identical to a run on a freshly
-// constructed Runner: every reused component restores its exact as-new
-// state. Run is the legacy fail-fast wrapper around RunE: any terminal
-// failure is raised as a *pipe.RunError panic.
-func (r *Runner) Run(cfg Config, profile prog.Profile) Result {
-	res, err := r.RunE(context.Background(), cfg, profile)
-	if err != nil {
-		panic(err) // fail-fast: legacy contract, typed *RunError for Guard
-	}
-	return res
-}
-
-// RunE executes one configuration on one benchmark profile under ctx,
-// returning the result or the terminal failure as an error (a *pipe.RunError
-// for simulator failures — deadlock, invariant panic, injected fault — or
-// the context's own error if ctx was already done on entry). When ctx
-// carries a deadline or cancellation, a watchdog goroutine translates
-// ctx.Done into the pipeline's cooperative Cancel, stopping a runaway point
-// mid-run; the goroutine provably exits before RunE returns.
+// RunE executes one configuration on one benchmark profile under ctx. The
+// first cfg.Warmup instructions train predictors and caches; measurement
+// covers the next cfg.Instructions. Results are bit-identical to a run on a
+// freshly constructed Runner: every reused component restores its exact
+// as-new state. RunE returns the result or the terminal failure as an error
+// (a *pipe.RunError for simulator failures — deadlock, invariant panic,
+// injected fault — or the context's own error if ctx was already done on
+// entry). When ctx carries a deadline or cancellation, a watchdog goroutine
+// translates ctx.Done into the pipeline's cooperative Cancel, stopping a
+// runaway point mid-run; the goroutine provably exits before RunE returns.
 //
 // On a clean error (deadlock, cancellation) the Runner remains reusable: the
 // next run Resets every component as usual. After a recovered panic the
@@ -310,11 +299,17 @@ var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 // Run executes one configuration on one benchmark profile using a pooled
 // run context, consulting the process-wide result cache first: a point
 // already simulated in this process is returned without re-simulation
-// (disable with SetResultCaching for raw-throughput measurements).
+// (disable with SetResultCaching for raw-throughput measurements). Run is
+// the fail-fast form: a terminal run failure is raised as a *pipe.RunError
+// panic.
 func Run(cfg Config, profile prog.Profile) Result {
 	r := runnerPool.Get().(*Runner)
 	defer runnerPool.Put(r)
-	return runCached(r, cfg, profile)
+	res, err := runCachedE(context.Background(), r, cfg, profile)
+	if err != nil {
+		panic(err) // fail-fast: legacy contract, typed *RunError for Guard
+	}
+	return res
 }
 
 // runJobs executes jobs 0..n-1 across a bounded worker pool. Each worker
